@@ -1,10 +1,9 @@
 // Microbenchmarks of the sharded driver's coordination machinery: how often
-// the coordinator wakes shards under the global conservative window vs the
-// per-edge lookahead matrix, and what a barrier merge costs per staged
-// message. The fleet is bare kernels shaped like the SUB=2/EDGE=2 testbed
-// (10 shards), so the `events_per_window` counters line up with the
-// barrier_rounds / shard_windows figures scenario_throughput records into
-// BENCH_core.json.
+// the coordinator wakes shards under the global conservative window, and
+// what a barrier merge costs per staged message. The fleet is bare kernels
+// shaped like the SUB=2/EDGE=2 testbed (10 shards), so the
+// `events_per_window` counters line up with the barrier_rounds /
+// shard_windows figures scenario_throughput records into BENCH_core.json.
 
 #include <benchmark/benchmark.h>
 
@@ -34,10 +33,10 @@ net::Topology split_topology() {
 }
 
 /// Coordination-round frequency of a 10-kernel fleet with 1 ms periodic
-/// timers per shard. Arg names the window mode; the interesting output is
-/// the counters: `events_per_window` is the parallel-window width the
-/// tentpole widens, `rounds_per_sim_sec` the coordinator wake rate.
-void shard_barrier_overhead(benchmark::State& state, bool per_edge) {
+/// timers per shard. The interesting output is the counters:
+/// `events_per_window` is the parallel-window width, `rounds_per_sim_sec`
+/// the coordinator wake rate.
+void BM_ShardBarrierOverhead_GlobalWindow(benchmark::State& state) {
   const net::Topology topology = split_topology();
   std::vector<std::unique_ptr<sim::Simulator>> sims;
   std::vector<sim::Simulator*> ptrs;
@@ -46,38 +45,26 @@ void shard_barrier_overhead(benchmark::State& state, bool per_edge) {
     ptrs.push_back(sims.back().get());
     sims.back()->every(1 * kMillisecond, [] {});
   }
-  auto driver =
-      per_edge ? std::make_unique<sim::ShardedSimulator>(
-                     ptrs, topology.lookahead_matrix(), /*threads=*/1)
-               : std::make_unique<sim::ShardedSimulator>(
-                     ptrs, topology.sharded_lookahead_floor(), /*threads=*/1);
+  sim::ShardedSimulator driver(ptrs, topology.sharded_lookahead_floor(),
+                               /*threads=*/1);
   for (auto _ : state) {
-    driver->run_for(100 * kMillisecond);
+    driver.run_for(100 * kMillisecond);
   }
   std::uint64_t windows = 0;
-  for (std::size_t s = 0; s < driver->num_shards(); ++s) {
-    windows += driver->shard_windows(s);
+  for (std::size_t s = 0; s < driver.num_shards(); ++s) {
+    windows += driver.shard_windows(s);
   }
   const double sim_secs =
-      static_cast<double>(driver->now()) / static_cast<double>(kSecond);
+      static_cast<double>(driver.now()) / static_cast<double>(kSecond);
   state.counters["rounds_per_sim_sec"] =
-      static_cast<double>(driver->rounds()) / sim_secs;
+      static_cast<double>(driver.rounds()) / sim_secs;
   state.counters["shard_windows_per_sim_sec"] =
       static_cast<double>(windows) / sim_secs;
   state.counters["events_per_window"] =
-      static_cast<double>(driver->executed()) / static_cast<double>(windows);
-  state.SetItemsProcessed(static_cast<std::int64_t>(driver->executed()));
-}
-
-void BM_ShardBarrierOverhead_GlobalWindow(benchmark::State& state) {
-  shard_barrier_overhead(state, /*per_edge=*/false);
+      static_cast<double>(driver.executed()) / static_cast<double>(windows);
+  state.SetItemsProcessed(static_cast<std::int64_t>(driver.executed()));
 }
 BENCHMARK(BM_ShardBarrierOverhead_GlobalWindow);
-
-void BM_ShardBarrierOverhead_PerEdge(benchmark::State& state) {
-  shard_barrier_overhead(state, /*per_edge=*/true);
-}
-BENCHMARK(BM_ShardBarrierOverhead_PerEdge);
 
 struct BenchPayload final : net::Payload {
   std::size_t wire_size() const override { return 64; }

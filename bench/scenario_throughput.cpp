@@ -43,8 +43,6 @@ struct Options {
   unsigned shards = 0;     // 0 = legacy kernel; N >= 1 = region-sharded mode
   unsigned sub_shards = 1;       // sharded mode: kernels per data region
   unsigned edge_sub_shards = 1;  // sharded mode: kernels at the app edge
-  bool per_edge_windows = false;  // sharded mode: per-edge lookahead matrix
-  bool async_store = false;       // message-routed store on its own shard
   long record_ms = 0;      // telemetry sampling cadence (0 = recording off)
   std::string timeseries;  // recorded-series output path ("" = none)
   std::string slo;         // SLO spec path; violations fail the bench
@@ -135,10 +133,6 @@ int main(int argc, char** argv) {
       opt.sub_shards = static_cast<unsigned>(std::stoul(next()));
     } else if (arg == "--edge-sub-shards") {
       opt.edge_sub_shards = static_cast<unsigned>(std::stoul(next()));
-    } else if (arg == "--per-edge-windows") {
-      opt.per_edge_windows = true;
-    } else if (arg == "--async-store") {
-      opt.async_store = true;
     } else if (arg == "--record-ms") {
       opt.record_ms = std::stol(next());
     } else if (arg == "--timeseries") {
@@ -155,10 +149,6 @@ int main(int argc, char** argv) {
                    "   region-sharded mode with N worker threads)\n"
                    "  [--sub-shards K] [--edge-sub-shards K]  (sharded mode:\n"
                    "   kernels per data region / at the app edge; default 1)\n"
-                   "  [--per-edge-windows]  (sharded mode: per-edge lookahead\n"
-                   "   matrix instead of one global conservative window)\n"
-                   "  [--async-store]  (host the store on its own shard behind\n"
-                   "   message-routed completions)\n"
                    "  [--record-ms N]  (sample metric time-series every N ms of\n"
                    "   sim time; sharded mode also turns on wall profiling)\n"
                    "  [--timeseries ts.json]  (write the recorded series)\n"
@@ -179,8 +169,6 @@ int main(int argc, char** argv) {
   config.shards = opt.shards;
   config.data_sub_shards = opt.sub_shards;
   config.edge_sub_shards = opt.edge_sub_shards;
-  config.per_edge_windows = opt.per_edge_windows;
-  config.async_store = opt.async_store;
   config.record_interval = opt.record_ms * kMillisecond;
   config.slo_path = opt.slo;
   // Wall profiling rides the recording switch: both are observation-only,
@@ -259,17 +247,10 @@ int main(int argc, char** argv) {
   if (opt.edge_sub_shards != 1) {
     run["edge_sub_shards"] = static_cast<std::int64_t>(opt.edge_sub_shards);
   }
-  // Window-mode knobs recorded only when set (same schema-stability rule);
-  // --compare shape-matches on them, so a per-edge run never gates against a
-  // global-window baseline.
-  if (opt.per_edge_windows) run["per_edge_windows"] = true;
-  if (opt.async_store) run["async_store"] = true;
   if (const sim::ShardedSimulator* driver = bed.sharded(); driver != nullptr) {
     // Deterministic coordination counts (sim-time quantities): how many
     // rounds the coordinator ran and how many windows each shard executed
-    // over the whole bench (settle + measured run). The per-edge acceptance
-    // figure — N-times fewer per-shard wakes for unsplit regions — reads
-    // straight off shard_windows.
+    // over the whole bench (settle + measured run).
     run["barrier_rounds"] = static_cast<std::int64_t>(driver->rounds());
     Json windows = Json::array();
     Json widths = Json::array();
@@ -285,9 +266,9 @@ int main(int argc, char** argv) {
     run["avg_window_us"] = std::move(widths);
     if (driver->wall_profiling()) {
       // Wall-clock stall breakdown (scheduler profile): per shard,
-      // busy + stall + idle == wall exactly. The per-edge speedup story
-      // reads straight off stall_ms shrinking relative to the global-window
-      // run (EXPERIMENTS.md §speedup).
+      // busy + stall + idle == wall exactly. Stall share and busy skew
+      // across shards are what the speedup protocol reads
+      // (EXPERIMENTS.md §speedup).
       Json busy = Json::array(), stall = Json::array(), idle = Json::array();
       for (std::size_t s = 0; s < driver->num_shards(); ++s) {
         const sim::ShardedSimulator::ShardProfile& p =
@@ -299,20 +280,6 @@ int main(int argc, char** argv) {
       run["shard_busy_ms"] = std::move(busy);
       run["shard_stall_ms"] = std::move(stall);
       run["shard_idle_ms"] = std::move(idle);
-    }
-    if (driver->per_edge()) {
-      // Horizon-limiter attribution: row s counts, per incoming edge, how
-      // many of shard s's committed windows that edge bound (last column =
-      // bound by the run target, i.e. unconstrained).
-      Json limited = Json::array();
-      for (std::size_t s = 0; s < driver->num_shards(); ++s) {
-        Json row = Json::array();
-        for (std::size_t src = 0; src <= driver->num_shards(); ++src) {
-          row.push_back(static_cast<std::int64_t>(driver->limited_by(s, src)));
-        }
-        limited.push_back(std::move(row));
-      }
-      run["limited_by"] = std::move(limited);
     }
   }
   if (!opt.micro.empty()) run["micro"] = summarize_micro(opt.micro);

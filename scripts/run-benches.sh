@@ -32,9 +32,6 @@
 #             worker threads (default: 0)
 #   SUB_SHARDS       sharded mode: kernels per data region (default: 1)
 #   EDGE_SUB_SHARDS  sharded mode: kernels at the app edge (default: 1)
-#   PER_EDGE         sharded mode: 1 = per-edge lookahead matrix instead of
-#                    one global conservative window (default: 0)
-#   ASYNC_STORE      1 = message-routed store on its own shard (default: 0)
 #   RECORD_MS        telemetry sampling cadence in ms of sim time; 0 = off
 #                    (default: 0). Recording is observation-only: the digest
 #                    gate above holds with it on or off.
@@ -67,8 +64,6 @@ seed=${SEED:-7}
 shards=${SHARDS:-0}
 sub_shards=${SUB_SHARDS:-1}
 edge_sub_shards=${EDGE_SUB_SHARDS:-1}
-per_edge=${PER_EDGE:-0}
-async_store=${ASYNC_STORE:-0}
 record_ms=${RECORD_MS:-0}
 slo=${SLO:-}
 
@@ -120,12 +115,6 @@ if [[ "$shards" -gt 0 ]]; then
   if [[ "$edge_sub_shards" -ne 1 ]]; then
     shard_args+=(--edge-sub-shards "$edge_sub_shards")
   fi
-  if [[ "$per_edge" -ne 0 ]]; then
-    shard_args+=(--per-edge-windows)
-  fi
-fi
-if [[ "$async_store" -ne 0 ]]; then
-  shard_args+=(--async-store)
 fi
 telemetry_args=()
 if [[ "$record_ms" -gt 0 ]]; then
@@ -156,6 +145,11 @@ def shape(entry):
     The sub-shard split is part of the shape: a 100k-node sub-sharded run has
     different windows, kernels and rng layout than an unsplit one, so gating
     one against the other would be meaningless.
+
+    The last two keys are historical: older entries were measured with the
+    since-removed per-edge window scheduler or message-routed store. Fresh
+    runs never carry them, so reading them here keeps those entries from
+    ever gating a global-window run.
     """
     return (entry.get("nodes"), entry.get("seed"), entry.get("sim_seconds"),
             entry.get("shards", 0), entry.get("sub_shards", 1),
@@ -166,9 +160,8 @@ def shape(entry):
 
 matching = [e for e in trajectory if shape(e) == shape(fresh)]
 if not matching:
-    print(f"no baseline entry in {baseline_path} matches workload "
-          f"(nodes, seed, sim_seconds, shards, sub_shards, edge_sub_shards, "
-          f"per_edge_windows, async_store) = {shape(fresh)}; nothing to compare")
+    print(f"no baseline entry in {baseline_path} matches workload shape "
+          f"{shape(fresh)} (see shape()); nothing to compare")
     sys.exit(0)
 baseline = matching[-1]
 

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 
 namespace focus {
@@ -28,16 +27,6 @@ constexpr double to_seconds(Duration d) { return static_cast<double>(d) / 1e6; }
 
 /// Convert a microsecond time/duration to fractional milliseconds.
 constexpr double to_millis(Duration d) { return static_cast<double>(d) / 1e3; }
-
-/// Lookahead sentinel for shard-pair edges that carry no traffic: the
-/// per-edge window coordinator (sim::ShardedSimulator) skips sentinel edges
-/// when computing a shard's safe horizon, so a declared no-traffic pair
-/// imposes no window constraint at all. Half of the Duration range so
-/// `committed + lookahead` can never overflow even if a caller adds instead
-/// of skipping. Shared by net::Topology (which builds lookahead matrices)
-/// and the sim driver (which consumes them), hence defined here.
-inline constexpr Duration kNoTrafficLookahead =
-    std::numeric_limits<Duration>::max() / 2;
 
 /// Identity of a node (an end host, a service process, a broker, ...).
 /// Strongly typed so a NodeId cannot be confused with a port or a count.

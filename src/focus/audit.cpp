@@ -428,15 +428,18 @@ AuditReport audit_gossip(const gossip::GroupAgent& agent, SimTime now) {
   // --- events: every buffered event has retransmission budget within the
   // configured cap and is recorded in the seen-set (add() registers ids
   // before buffering, so a pending-but-unseen event would be re-buffered on
-  // redelivery and forwarded forever).
+  // redelivery and forwarded forever). A relayed event is buffered with the
+  // full budget and the buffer drops entries that reach 0, so the valid range
+  // is [1, event_retransmit_rounds].
   const gossip::EventBuffer& events = agent.event_buffer();
   events.for_each_pending([&](gossip::EventId id, int rounds_left) {
-    check.expect(rounds_left >= 0 && rounds_left < config.event_retransmit_rounds,
+    check.expect(rounds_left >= 1 &&
+                     rounds_left <= config.event_retransmit_rounds,
                  "gossip", [&](std::ostream& os) {
                    os << "agent " << focus::to_string(agent.id()) << " event "
                       << focus::to_string(id.origin) << "#" << id.seq << " has "
-                      << rounds_left << " rounds left, outside [0, "
-                      << config.event_retransmit_rounds << ")";
+                      << rounds_left << " rounds left, outside [1, "
+                      << config.event_retransmit_rounds << "]";
                  });
     check.expect(events.seen(id), "gossip", [&](std::ostream& os) {
       os << "agent " << focus::to_string(agent.id()) << " buffers event "

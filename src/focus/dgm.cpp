@@ -283,7 +283,7 @@ std::set<Region> Dgm::GroupInfo::regions() const {
 
 Dgm::Dgm(sim::Simulator& simulator, net::Transport& transport,
          net::Address south_addr, const ServiceConfig& config,
-         const Registrar& registrar, store::StoreBackend& store, Rng rng)
+         const Registrar& registrar, store::Cluster& store, Rng rng)
     : simulator_(simulator),
       transport_(transport),
       south_addr_(south_addr),

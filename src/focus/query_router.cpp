@@ -36,7 +36,7 @@ const obs::MetricId kGroupsQueried =
 QueryRouter::QueryRouter(sim::Simulator& simulator, net::Transport& transport,
                          net::Address north_addr, const ServiceConfig& config,
                          const ServerCostModel& cost, Dgm& dgm,
-                         const Registrar& registrar, store::StoreBackend& store,
+                         const Registrar& registrar, store::Cluster& store,
                          Rng rng, std::function<void(Duration)> charge)
     : simulator_(simulator),
       transport_(transport),

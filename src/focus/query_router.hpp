@@ -43,7 +43,7 @@ class QueryRouter {
   QueryRouter(sim::Simulator& simulator, net::Transport& transport,
               net::Address north_addr, const ServiceConfig& config,
               const ServerCostModel& cost, Dgm& dgm, const Registrar& registrar,
-              store::StoreBackend& store, Rng rng,
+              store::Cluster& store, Rng rng,
               std::function<void(Duration)> charge);
 
   /// Entry points called by the Service's transport dispatch.
@@ -94,7 +94,7 @@ class QueryRouter {
   const ServerCostModel& cost_;
   Dgm& dgm_;
   const Registrar& registrar_;
-  store::StoreBackend& store_;
+  store::Cluster& store_;
   Rng rng_;
   std::function<void(Duration)> charge_;
 

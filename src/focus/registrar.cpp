@@ -6,7 +6,7 @@
 
 namespace focus::core {
 
-Registrar::Registrar(sim::Simulator& simulator, store::StoreBackend& store,
+Registrar::Registrar(sim::Simulator& simulator, store::Cluster& store,
                      const ServiceConfig& config)
     : simulator_(simulator), store_(store), config_(config) {}
 

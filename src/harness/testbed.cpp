@@ -68,9 +68,6 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
   topology_.place(kServerNode, Region::AppEdge);
   topology_.place(kAppNode, Region::AppEdge);
   topology_.place(kBrokerNode, Region::AppEdge);
-  // The store node only exists on the async path; gating the placement keeps
-  // the legacy world literally unchanged.
-  if (config_.async_store) topology_.place(kStoreNode, Region::AppEdge);
 
   const bool sharded = config_.shards > 0;
   if (sharded) {
@@ -115,29 +112,10 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
     transport_->set_loss_rate(config_.loss_rate);
   }
 
-  // One rng fork feeds the cluster wherever it lives, so flipping
-  // async_store never shifts the fork positions of anything built below.
-  const std::uint64_t store_seed = rng.fork().next_u64();
-  if (config_.async_store) {
-    // The cluster runs on the store node's own shard (an edge sub-shard when
-    // the app edge is split); the service reaches it through the
-    // message-routed frontend bound on a spare server port.
-    sim::Simulator& store_sim =
-        sharded ? *shard_sims_[topology_.shard_of(kStoreNode)] : simulator_;
-    net::SimTransport& store_tr =
-        sharded ? *shard_transports_[topology_.shard_of(kStoreNode)]
-                : *transport_;
-    store_server_ = std::make_unique<store::StoreServer>(
-        store_sim, store_tr, net::Address{kStoreNode, 1}, config_.store,
-        store_seed);
-    store_frontend_ = std::make_unique<store::StoreFrontend>(
-        *transport_, net::Address{kServerNode, 4}, store_server_->addr());
-  } else {
-    store_ =
-        std::make_unique<store::Cluster>(simulator_, config_.store, store_seed);
-  }
+  store_ = std::make_unique<store::Cluster>(simulator_, config_.store,
+                                           rng.fork().next_u64());
   service_ = std::make_unique<core::Service>(simulator_, *transport_,
-                                             store_backend(), kServerNode,
+                                             *store_, kServerNode,
                                              config_.service,
                                              core::ServerCostModel{},
                                              rng.fork().next_u64());
@@ -170,27 +148,12 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
   }
 
   if (sharded) {
-    if (config_.per_edge_windows) {
-      // Per-edge horizons from the lookahead matrix: each shard advances as
-      // far as its own incoming edges allow, so a split region narrows only
-      // its own siblings' strides.
-      sharded_ = std::make_unique<sim::ShardedSimulator>(
-          shard_sims_, topology_.lookahead_matrix(), config_.shards);
-    } else {
-      // Window bound for the configured layout: the cross-region floor, or a
-      // split region's intra-region floor when that is tighter.
-      sharded_ = std::make_unique<sim::ShardedSimulator>(
-          shard_sims_, topology_.sharded_lookahead_floor(), config_.shards);
-    }
+    // Window bound for the configured layout: the cross-region floor, or a
+    // split region's intra-region floor when that is tighter.
+    sharded_ = std::make_unique<sim::ShardedSimulator>(
+        shard_sims_, topology_.sharded_lookahead_floor(), config_.shards);
     sharded_->set_barrier_hook([this](SimTime t) {
-      if (sharded_->per_edge()) {
-        // Shards sit at different committed times: each destination's merge
-        // barrier is its own horizon, not the fleet minimum.
-        stager_->merge_at_barrier(sharded_->committed_times(),
-                                  shard_transports_);
-      } else {
-        stager_->merge_at_barrier(t, shard_transports_);
-      }
+      stager_->merge_at_barrier(t, shard_transports_);
       if (next_audit_ > 0 && t >= next_audit_) {
         ++audits_run_;
         const core::AuditReport report = audit();
@@ -335,8 +298,6 @@ obs::MetricSet Testbed::telemetry_snapshot() const {
                static_cast<double>(sharded_->shard_window_width(i)));
       snap.add(obs::MetricId::counter(prefix + ".events"),
                static_cast<double>(sharded_->shard(i).executed()));
-      snap.set(obs::MetricId::gauge(prefix + ".committed_us"),
-               static_cast<double>(sharded_->committed_times()[i]));
       if (sharded_->wall_profiling()) {
         const sim::ShardedSimulator::ShardProfile& p =
             sharded_->shard_profiles()[i];

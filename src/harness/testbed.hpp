@@ -18,6 +18,10 @@
 //    (node 0), broker (node 1) and app client (node 2) across edge
 //    sub-shards by the same consistent NodeId assignment, so the hottest
 //    shard no longer serializes the fleet.
+//
+// In both modes the store cluster runs inside the service kernel and the
+// service calls it directly. Sharded mode advances every shard in one global
+// conservative window; DESIGN.md §10 gives the measured reason for both.
 
 #include <map>
 #include <memory>
@@ -35,7 +39,6 @@
 #include "obs/slo.hpp"
 #include "sim/sharded.hpp"
 #include "store/kvstore.hpp"
-#include "store/remote.hpp"
 
 namespace focus::harness {
 
@@ -43,9 +46,6 @@ namespace focus::harness {
 inline constexpr NodeId kServerNode{0};
 inline constexpr NodeId kBrokerNode{1};
 inline constexpr NodeId kAppNode{2};
-/// Store host when `async_store` is on (app edge, like the service): the
-/// Cluster lives on this node's shard and completions travel as messages.
-inline constexpr NodeId kStoreNode{3};
 inline constexpr std::uint32_t kManagerBase = 10;  ///< hierarchy managers
 inline constexpr std::uint32_t kAgentBase = 100;   ///< end nodes
 
@@ -77,25 +77,6 @@ struct TestbedConfig {
   /// the conservative window to its intra-region lookahead floor.
   unsigned data_sub_shards = 1;
   unsigned edge_sub_shards = 1;
-
-  /// Sharded mode only: drive shards with the per-edge lookahead matrix
-  /// (Topology::lookahead_matrix) instead of one global conservative window.
-  /// Each shard advances to its own horizon — splitting one region no longer
-  /// narrows every other shard's window. Workload config like the sub-shard
-  /// splits: turning it on legitimately changes digests (shards interleave
-  /// same-instant events differently), but the round schedule is a pure
-  /// function of committed times and the matrix, so digests stay
-  /// byte-identical across `shards` worker counts. Ignored in legacy mode.
-  bool per_edge_windows = false;
-
-  /// Host the store cluster on kStoreNode's own shard behind a message-routed
-  /// StoreFrontend/StoreServer pair (store/remote.hpp) instead of running it
-  /// inside the service kernel. Store completions become async transport
-  /// messages, so the service shard no longer serializes every replica round
-  /// trip. Workload config: changes digests (new node, new traffic), but not
-  /// across worker counts. Works in legacy mode too (same kernel, message
-  /// hops only) — useful for differential testing.
-  bool async_store = false;
 
   /// When > 0, run the structural-invariant audit (focus/audit.hpp) every
   /// this many microseconds of simulated time and abort (FOCUS_CHECK) on the
@@ -197,20 +178,8 @@ class Testbed {
   }
 
   net::Topology& topology() noexcept { return topology_; }
-  /// The replica cluster, wherever it lives: in-kernel (legacy path) or
-  /// behind the StoreServer (async path). Replica inspection for tests.
-  store::Cluster& store() noexcept {
-    return store_ ? *store_ : store_server_->cluster();
-  }
-  /// The store surface the service programs against.
-  store::StoreBackend& store_backend() noexcept {
-    return store_frontend_ ? static_cast<store::StoreBackend&>(*store_frontend_)
-                           : static_cast<store::StoreBackend&>(*store_);
-  }
-  /// The message-routed frontend, or nullptr when async_store is off.
-  store::StoreFrontend* store_frontend() noexcept {
-    return store_frontend_.get();
-  }
+  /// The replica cluster the service runs against, in the service kernel.
+  store::Cluster& store() noexcept { return *store_; }
   core::Service& service() noexcept { return *service_; }
   core::Client& client() noexcept { return *client_; }
   agent::NodeManager& agent(std::size_t i) { return agents_[i]; }
@@ -229,11 +198,6 @@ class Testbed {
   core::AuditReport audit() const {
     core::AuditReport report = core::audit_service(*service_, simulator_);
     for (const auto& agent : agents_) {
-      // Judge each agent against its own kernel's clock: with per-edge
-      // windows, shards sit at different committed times at a barrier, and
-      // liveness bounds must not charge an agent for time its kernel has
-      // not executed yet. With a global window every shard commits to the
-      // same barrier, so this is behavior-identical there.
       const SimTime agent_now = simulator_for(agent.node()).now();
       for (const auto& [attr, membership] : agent.p2p().memberships()) {
         report.merge(core::audit_gossip(*membership.agent, agent_now));
@@ -262,8 +226,8 @@ class Testbed {
   /// reads: every obs metric (merged across worker threads) plus per-kind
   /// traffic totals re-published as net.<kind>.{msgs,bytes,payload_builds}
   /// counters and, in sharded mode, per-shard scheduler telemetry
-  /// (sharded.shard<i>.{windows,window_width_us,events} counters, a
-  /// committed_us gauge, and busy/stall/idle_us when wall profiling is on).
+  /// (sharded.shard<i>.{windows,window_width_us,events} counters, and
+  /// busy/stall/idle_us when wall profiling is on).
   obs::MetricSet telemetry_snapshot() const;
 
   /// Evaluate the SLO spec at config().slo_path against the current metrics
@@ -301,12 +265,7 @@ class Testbed {
   /// one resource walk plan for every node.
   std::shared_ptr<const agent::AgentConfig> agent_config_;
   std::shared_ptr<const agent::ResourceModel::StepPlan> step_plan_;
-  /// Exactly one of store_ / store_server_ exists: the in-kernel cluster
-  /// (async_store off) or the message-routed pair (on). Declared after the
-  /// transports so the frontend/server unbind before their transports die.
   std::unique_ptr<store::Cluster> store_;
-  std::unique_ptr<store::StoreServer> store_server_;
-  std::unique_ptr<store::StoreFrontend> store_frontend_;
   std::unique_ptr<core::Service> service_;
   std::unique_ptr<core::Client> client_;
   /// Agents live in a chunked arena: stable addresses (closures capture

@@ -62,15 +62,6 @@ class ShardStager {
   void merge_at_barrier(SimTime barrier,
                         const std::vector<SimTransport*>& targets);
 
-  /// Per-edge-window variant: shard clocks diverge between rounds, so each
-  /// destination has its own committed horizon (`barriers[dst]` — the
-  /// driver's committed_times()). Every staged delivery into `dst` must land
-  /// at or after barriers[dst]; the check is what makes a lookahead-matrix
-  /// entry (or a set_lookahead_override claim) that overstates an edge's
-  /// minimum delay a loud failure instead of a silent determinism break.
-  void merge_at_barrier(const std::vector<SimTime>& barriers,
-                        const std::vector<SimTransport*>& targets);
-
   std::size_t num_shards() const noexcept { return num_shards_; }
 
   /// Total deliveries merged so far (coordinator-only; bench reporting).
@@ -84,11 +75,6 @@ class ShardStager {
   std::vector<StagedMessage>& outbox(std::size_t src, std::size_t dst) {
     return outboxes_[src * num_shards_ + dst];
   }
-
-  /// Drain the (*, dst) outboxes into targets[dst], checking every delivery
-  /// against `barrier`. Shared by both merge_at_barrier overloads.
-  void merge_dst(std::size_t dst, SimTime barrier,
-                 const std::vector<SimTransport*>& targets);
 
   std::size_t num_shards_;
   std::vector<std::vector<StagedMessage>> outboxes_;

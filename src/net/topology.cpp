@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
-
 namespace focus::net {
 
 namespace {
@@ -52,14 +50,6 @@ void Topology::set_sub_shards(Region r, unsigned k) {
   rebuild_lookahead_cache();
 }
 
-Region Topology::region_of_shard(std::size_t s) const noexcept {
-  // 5 regions: a reverse scan over shard_base_ beats keeping a parallel map.
-  for (std::size_t r = kRegions; r-- > 1;) {
-    if (s >= shard_base_[r]) return static_cast<Region>(r);
-  }
-  return static_cast<Region>(0);
-}
-
 Duration Topology::base_latency(Region a, Region b) const {
   return latency_[idx(a)][idx(b)];
 }
@@ -97,32 +87,6 @@ void Topology::rebuild_lookahead_cache() {
     if (sub_count_[r] > 1) sharded = std::min(sharded, cached_intra_floor_[r]);
   }
   cached_sharded_floor_ = sharded;
-
-  // Per-edge matrix: per-pair cross-region floors, intra-region floors only
-  // between sibling sub-shards of a split region, and an unconstrained
-  // diagonal (same-shard sends never leave their kernel).
-  lookahead_matrix_.assign(num_shards_ * num_shards_, kNoTrafficLookahead);
-  for (std::size_t src = 0; src < num_shards_; ++src) {
-    const Region rs = region_of_shard(src);
-    for (std::size_t dst = 0; dst < num_shards_; ++dst) {
-      if (src == dst) continue;
-      const Region rd = region_of_shard(dst);
-      lookahead_matrix_[src * num_shards_ + dst] =
-          rs == rd ? cached_intra_floor_[idx(rs)]
-                   : shrunk(latency_[idx(rs)][idx(rd)]);
-    }
-  }
-}
-
-void Topology::set_lookahead_override(std::size_t src_shard,
-                                      std::size_t dst_shard,
-                                      Duration lookahead) {
-  FOCUS_CHECK_LT(src_shard, num_shards_);
-  FOCUS_CHECK_LT(dst_shard, num_shards_);
-  FOCUS_CHECK(src_shard != dst_shard)
-      << "the diagonal is always unconstrained; overriding it is a bug";
-  FOCUS_CHECK_GT(lookahead, 0);
-  lookahead_matrix_[src_shard * num_shards_ + dst_shard] = lookahead;
 }
 
 void Topology::set_latency(Region a, Region b, Duration one_way) {

@@ -48,12 +48,11 @@ class Topology {
   Duration sample_latency(NodeId from, NodeId to, Rng& rng) const;
 
   /// Override one region-pair latency (tests / what-if scenarios).
-  /// Sets both directions and rebuilds the lookahead caches (dropping any
-  /// set_lookahead_override entries).
+  /// Sets both directions and rebuilds the lookahead caches.
   void set_latency(Region a, Region b, Duration one_way);
 
   /// Fractional jitter: sampled latency is base * U(1-j, 1+j). Default 0.1.
-  /// Rebuilds the lookahead caches (dropping overrides).
+  /// Rebuilds the lookahead caches.
   void set_jitter(double fraction);
   double jitter() const { return jitter_; }
 
@@ -85,42 +84,6 @@ class Topology {
   Duration sharded_lookahead_floor() const noexcept {
     return cached_sharded_floor_;
   }
-
-  // -- Per-edge lookahead matrix -------------------------------------------
-
-  /// Minimum possible delivery delay for every ordered shard pair, flattened
-  /// row-major (`entry = matrix[src * num_shards() + dst]`, num_shards()²
-  /// entries). Sibling sub-shards of a split region get that region's
-  /// intra-region floor; shards in different regions get the per-pair
-  /// cross-region floor (base latency after worst-case jitter shrink,
-  /// floored at 1µs); the diagonal is kNoTrafficLookahead (a shard never
-  /// constrains itself — same-shard sends stay in-kernel). This is what the
-  /// per-edge sim::ShardedSimulator mode advances each shard's safe horizon
-  /// with: `min over src of committed[src] + matrix[src][dst]` — so
-  /// splitting one region narrows only that region's sibling edges, not the
-  /// other shards' windows. Rebuilt eagerly by every mutator.
-  const std::vector<Duration>& lookahead_matrix() const noexcept {
-    return lookahead_matrix_;
-  }
-
-  /// One matrix entry (see lookahead_matrix for semantics).
-  Duration lookahead(std::size_t src_shard, std::size_t dst_shard) const {
-    return lookahead_matrix_[src_shard * num_shards_ + dst_shard];
-  }
-
-  /// Declare an ordered shard edge's lookahead explicitly — either a wider
-  /// bound the caller can prove (a scheduled batch channel), or
-  /// kNoTrafficLookahead for a pair that exchanges no messages at all. The
-  /// override is a *claim*: the stager's barrier merge still FOCUS_CHECKs
-  /// every staged delivery against the destination's committed horizon, so a
-  /// wrong claim dies loudly instead of corrupting determinism. Cleared by
-  /// any mutator rebuild (set_sub_shards / set_latency / set_jitter), since
-  /// shard indices and floors change meaning.
-  void set_lookahead_override(std::size_t src_shard, std::size_t dst_shard,
-                              Duration lookahead);
-
-  /// Region that shard index `s` belongs to (inverse of shard_base).
-  Region region_of_shard(std::size_t s) const noexcept;
 
   // -- Shard layout (sub-region sharding) ----------------------------------
 
@@ -170,11 +133,11 @@ class Topology {
  private:
   static constexpr int kRegions = 5;
 
-  /// Recompute every cached lookahead quantity (floors + matrix) from the
-  /// current latency table, jitter and shard layout. Called eagerly from the
-  /// ctor and every mutator so the const getters stay pure reads — the
-  /// topology is shared read-only across worker threads in sharded mode, and
-  /// a lazy fill inside a const getter would be a data race.
+  /// Recompute every cached lookahead floor from the current latency table,
+  /// jitter and shard layout. Called eagerly from the ctor and every mutator
+  /// so the const getters stay pure reads — the topology is shared read-only
+  /// across worker threads in sharded mode, and a lazy fill inside a const
+  /// getter would be a data race.
   void rebuild_lookahead_cache();
 
   std::array<std::array<Duration, kRegions>, kRegions> latency_{};
@@ -190,7 +153,6 @@ class Topology {
   Duration cached_cross_floor_ = 0;
   std::array<Duration, kRegions> cached_intra_floor_{};
   Duration cached_sharded_floor_ = 0;
-  std::vector<Duration> lookahead_matrix_;  ///< num_shards_² row-major
 };
 
 }  // namespace focus::net

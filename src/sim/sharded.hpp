@@ -1,39 +1,19 @@
 #pragma once
 // Region-sharded parallel simulation driver. One sim::Simulator per shard —
 // a WAN region, or a (region, sub-shard) pair once a region is split
-// (Topology::set_sub_shards) — runs on a worker thread. Two conservative
-// window modes:
+// (Topology::set_sub_shards) — runs on a worker thread. The fleet advances in
+// lock-step conservative windows no longer than the minimum one-way latency
+// between any two shards (Topology::sharded_lookahead_floor(), jitter
+// included: the cross-region floor, clamped by the intra-region floor of
+// every split region). Every shard runs every window.
 //
-//  - Global window (the PR7/PR8 mode): the fleet advances in lock-step
-//    windows no longer than the minimum one-way latency between any two
-//    shards (Topology::sharded_lookahead_floor(), jitter included: the
-//    cross-region floor, clamped by the intra-region floor of every split
-//    region). Every shard runs every window.
-//
-//  - Per-edge windows (Chandy–Misra–Bryant-style safe-time advance): the
-//    driver takes a per-(src,dst) lookahead matrix
-//    (Topology::lookahead_matrix()) and advances each shard to its own safe
-//    horizon `min over incoming edges (committed[src] + lookahead[src][dst])`
-//    instead of a fleet-wide barrier — so splitting one region narrows only
-//    that region's sibling edges, not everyone's window. Naive per-edge
-//    horizons alone would still pace the whole fleet at the tightest edge
-//    (transitive coupling), so the round loop adds hysteresis: a shard runs
-//    only when its available stride is at least `batch_factor` times its
-//    tightest incoming lookahead (or when it can reach the run_until
-//    target). When nothing qualifies, exactly one shard — the lowest-indexed
-//    among those furthest behind — is woken, which staggers sibling
-//    sub-shards half a cycle apart and roughly doubles their effective
-//    stride on top of the batching. Every decision is a pure function of the
-//    committed-time vector and the matrix, never of worker count, so digests
-//    stay byte-identical across --shards values.
-//
-// In both modes, same-shard events never leave their kernel, and any
-// cross-shard send carries at least its edge's lookahead of latency, so it
-// cannot affect another shard before that shard's next horizon. Cross-shard
-// deliveries are staged during the window (net/shard_stage.hpp) and merged
-// by the coordinator at the barrier/round hook in a deterministic order,
-// which keeps every shard's event sequence — and therefore digest() —
-// byte-identical for any worker-thread count. See DESIGN.md §10.
+// Same-shard events never leave their kernel, and any cross-shard send
+// carries at least one window of latency, so it cannot affect another shard
+// before the next barrier. Cross-shard deliveries are staged during the
+// window (net/shard_stage.hpp) and merged by the coordinator at the barrier
+// hook in a deterministic order, which keeps every shard's event sequence —
+// and therefore digest() — byte-identical for any worker-thread count. See
+// DESIGN.md §10.
 //
 // Threading model: the coordinator (the thread that calls run_until) parks
 // between windows; `threads` persistent workers each own a fixed round-robin
@@ -60,32 +40,17 @@ namespace focus::sim {
 /// clocks to agree (normally: freshly built kernels at t=0).
 class ShardedSimulator {
  public:
-  /// Runs at each window barrier (global mode) or round (per-edge mode), on
-  /// the coordinator thread, with every worker parked: safe to read/mutate
-  /// any shard (merge staged cross-shard messages, run audits, sample
-  /// state). Receives the committed fleet time — in per-edge mode the
-  /// minimum committed time; per-shard commit times are in
-  /// committed_times().
+  /// Runs at each window barrier, on the coordinator thread, with every
+  /// worker parked: safe to read/mutate any shard (merge staged cross-shard
+  /// messages, run audits, sample state). Receives the committed fleet time.
   using BarrierHook = std::function<void(SimTime)>;
 
-  /// Global-window mode. `window` is the conservative lookahead (µs): at
-  /// most the minimum cross-region one-way latency after worst-case jitter
-  /// shrink — Topology::sharded_lookahead_floor(). FOCUS_CHECKed positive.
+  /// `window` is the conservative lookahead (µs): at most the minimum
+  /// cross-shard one-way latency after worst-case jitter shrink —
+  /// Topology::sharded_lookahead_floor(). FOCUS_CHECKed positive.
   /// `threads` is the worker count (clamped to [1, shards]); 1 = inline.
   ShardedSimulator(std::vector<Simulator*> shards, Duration window,
                    unsigned threads = 1);
-
-  /// Per-edge-window mode. `lookahead` is the flattened row-major
-  /// per-(src,dst)-shard minimum-delay matrix (shards²  entries —
-  /// Topology::lookahead_matrix()); entries equal to kNoTrafficLookahead
-  /// are skipped (no constraint). `batch_factor` is the hysteresis
-  /// multiplier: a shard runs only once it can stride at least
-  /// `batch_factor × (its tightest incoming lookahead)` — 1.0 disables
-  /// batching (classic CMB), larger values trade commit granularity for
-  /// fewer, wider windows.
-  ShardedSimulator(std::vector<Simulator*> shards,
-                   std::vector<Duration> lookahead, unsigned threads = 1,
-                   double batch_factor = 2.0);
   ~ShardedSimulator();
 
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -99,37 +64,23 @@ class ShardedSimulator {
   void run_for(Duration d) { run_until(now_ + d); }
 
   /// Committed fleet time: every shard has executed all events <= now() and
-  /// no shard has run before it. In per-edge mode this is the minimum
-  /// per-shard committed time; individual shards may be ahead (see
-  /// committed_times()), but at the end of every run_until all shards have
-  /// converged to the target.
+  /// no shard has run past it.
   SimTime now() const noexcept { return now_; }
 
   Duration window() const noexcept { return window_; }
   std::size_t num_shards() const noexcept { return shards_.size(); }
   unsigned threads() const noexcept { return threads_; }
-  bool per_edge() const noexcept { return !lookahead_.empty(); }
   Simulator& shard(std::size_t i) { return *shards_[i]; }
   const Simulator& shard(std::size_t i) const { return *shards_[i]; }
 
-  /// Per-shard committed times (both modes; in global mode all entries equal
-  /// now()). Barrier-time only — read from the hook or between run_until
-  /// calls. This is what a per-destination stager merge checks deliveries
-  /// against.
-  const std::vector<SimTime>& committed_times() const noexcept {
-    return committed_;
-  }
-
   // -- Window statistics (deterministic, sim-time based; barrier-time only) --
 
-  /// Coordinator rounds so far: windows in global mode, horizon rounds in
-  /// per-edge mode. Each round costs one worker wake/park cycle plus one
-  /// hook (merge) invocation.
+  /// Coordinator rounds (windows) so far. Each round costs one worker
+  /// wake/park cycle plus one hook (merge) invocation.
   std::uint64_t rounds() const noexcept { return rounds_; }
 
-  /// Windows shard `i` actually executed (in global mode every shard runs
-  /// every window, so this equals rounds()). events/shard_windows is the
-  /// events-per-window figure the per-edge mode exists to raise.
+  /// Windows shard `i` executed. Every shard runs every window, so this
+  /// equals rounds(); events/shard_windows is the events-per-window figure.
   std::uint64_t shard_windows(std::size_t i) const {
     return windows_run_[i];
   }
@@ -151,9 +102,10 @@ class ShardedSimulator {
   ///  - busy:  this shard's kernel was executing events
   ///  - stall: the shard ran this round but finished before the round's
   ///           slowest participant (barrier stall — the cost lock-step
-  ///           windows impose and per-edge windows exist to shrink)
-  ///  - idle:  the shard sat the round out entirely (per-edge hysteresis
-  ///           held it back, or it was already at the target)
+  ///           windows impose)
+  ///  - idle:  the shard sat the round out entirely. Lock-step windows run
+  ///           every shard every round, so this stays zero; the field keeps
+  ///           the busy/stall/idle export schema stable.
   struct ShardProfile {
     std::int64_t busy_ns = 0;
     std::int64_t stall_ns = 0;
@@ -173,18 +125,6 @@ class ShardedSimulator {
     return profiles_;
   }
 
-  /// Per-edge mode horizon-limiter attribution: how many of `shard`'s
-  /// committed windows had their horizon bound by the incoming edge from
-  /// `src`. `src == num_shards()` counts windows bound by the run_until
-  /// target instead of any edge (the unconstrained case). Always zero in
-  /// global-window mode. Deterministic (sim-time derived), barrier-time
-  /// only.
-  std::uint64_t limited_by(std::size_t shard, std::size_t src) const {
-    return limited_by_.empty()
-               ? 0
-               : limited_by_[shard * (shards_.size() + 1) + src];
-  }
-
   /// Order-sensitive FNV-1a fold of the per-shard digests, in shard order.
   /// Byte-identical across worker-thread counts for the same seed; the
   /// determinism ctest (tests/test_sharded.cpp) enforces this. Barrier-time
@@ -192,34 +132,14 @@ class ShardedSimulator {
   std::uint64_t digest() const noexcept;
 
  private:
-  /// Common ctor both public ctors delegate to; an empty `lookahead` selects
-  /// global-window mode.
-  ShardedSimulator(std::vector<Simulator*> shards, Duration window,
-                   std::vector<Duration> lookahead, unsigned threads,
-                   double batch_factor);
-
   void worker_main(unsigned index);
   /// Run this worker's shards (round-robin subset `index, index+threads,
-  /// ...`) up to `target` (global mode) or to each shard's entry in
-  /// round_targets_ (per-edge mode, target ignored), stamping the thread's
-  /// log lines with the clock of the shard currently executing.
+  /// ...`) up to `target`, stamping the thread's log lines with the clock of
+  /// the shard currently executing.
   void run_assigned(unsigned index, SimTime target);
   static std::int64_t coordinator_time(const void* ctx);
 
-  /// Safe horizon of shard `i` clamped to `t`: min over incoming edges with
-  /// finite lookahead of committed_[src] + lookahead_[src][i]. `limiter`
-  /// (optional) receives the src index of the binding edge, or
-  /// shards_.size() when the target `t` itself binds (first strictly-smaller
-  /// edge wins ties against t, lowest src wins ties between edges — both
-  /// deterministic).
-  SimTime horizon(std::size_t i, SimTime t,
-                  std::size_t* limiter = nullptr) const;
-  /// One coordinator round of the per-edge mode: pick the shards to run
-  /// (hysteresis eligibility, or the single-lowest-index fallback), publish
-  /// round_targets_, execute, commit, hook. Pure function of committed_ and
-  /// the matrix — never of worker count.
-  void run_round(SimTime t);
-  /// Dispatch one round/window to the workers (or run inline) and wait.
+  /// Dispatch one window to the workers (or run inline) and wait.
   void execute_round(SimTime target);
 
   std::vector<Simulator*> shards_;
@@ -228,13 +148,6 @@ class ShardedSimulator {
   BarrierHook hook_;
   SimTime now_ = 0;
 
-  // Per-edge mode state (empty / unused in global mode except committed_ and
-  // the stats, which both modes maintain).
-  std::vector<Duration> lookahead_;   ///< shards² row-major; empty = global
-  double batch_factor_ = 1.0;
-  std::vector<Duration> min_incoming_;  ///< tightest finite incoming edge
-  std::vector<SimTime> committed_;      ///< per-shard committed time
-  std::vector<SimTime> round_targets_;  ///< per-edge worker hand-off targets
   std::uint64_t rounds_ = 0;
   std::vector<std::uint64_t> windows_run_;
   std::vector<Duration> window_width_sum_;
@@ -246,11 +159,6 @@ class ShardedSimulator {
   bool wall_profiling_ = false;
   std::vector<ShardProfile> profiles_;
   std::vector<std::int64_t> round_busy_ns_;
-  // Per-edge limiter attribution: shards_ x (shards_+1) counts, written at
-  // commit time by the coordinator; round_limiter_ carries each shard's
-  // binding edge from selection to commit within one round.
-  std::vector<std::uint64_t> limited_by_;
-  std::vector<std::size_t> round_limiter_;
 
   // Window hand-off (threads_ > 1): the coordinator publishes a target and
   // bumps epoch_; each worker runs its shards to the target and bumps done_.

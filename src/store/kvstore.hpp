@@ -61,41 +61,6 @@ class ReplicaData {
   std::map<std::string, std::map<std::string, Cell>> tables_;
 };
 
-/// Abstract store surface the FOCUS service programs against. All
-/// operations are asynchronous: results arrive through callbacks after some
-/// simulated delay. Two implementations:
-///  - Cluster: the replicas live in the caller's own kernel and completions
-///    are in-kernel callbacks (the historical, callback-coupled path).
-///  - StoreFrontend (store/remote.hpp): requests and completions travel as
-///    transport messages to a StoreServer hosting the Cluster on its own
-///    node — which may sit on a different shard kernel entirely, so the
-///    service no longer drags the store onto its shard.
-class StoreBackend {
- public:
-  using PutCallback = std::function<void(Result<bool>)>;
-  using GetCallback = std::function<void(Result<Row>)>;
-  using ScanCallback =
-      std::function<void(Result<std::vector<std::pair<std::string, Row>>>)>;
-
-  virtual ~StoreBackend() = default;
-
-  /// Quorum write of a full row (columns replace the previous row).
-  virtual void put(const std::string& table, const std::string& key,
-                   std::map<std::string, Json> columns, PutCallback cb) = 0;
-
-  /// Quorum delete.
-  virtual void erase(const std::string& table, const std::string& key,
-                     PutCallback cb) = 0;
-
-  /// Quorum read. The freshest replica row among the quorum wins.
-  virtual void get(const std::string& table, const std::string& key,
-                   GetCallback cb) = 0;
-
-  /// Full-table scan served by one up replica (Cassandra range scan
-  /// analogue). Fails Unavailable when every replica is down.
-  virtual void scan(const std::string& table, ScanCallback cb) = 0;
-};
-
 /// Cluster configuration.
 struct ClusterConfig {
   int replicas = 3;           ///< number of store nodes
@@ -109,28 +74,29 @@ struct ClusterConfig {
 /// Replicated store cluster. All operations are asynchronous: results arrive
 /// through callbacks after simulated replica round trips, so callers
 /// experience realistic ordering (a read racing a write can miss it).
-/// Completions run as closures in the owning kernel — callers therefore
-/// share that kernel. To decouple (service on one shard, store on another),
-/// front it with store/remote.hpp.
-class Cluster final : public StoreBackend {
+/// Completions run as closures in the owning kernel, so callers share it.
+class Cluster {
  public:
   Cluster(sim::Simulator& simulator, ClusterConfig config, std::uint64_t seed);
 
+  using PutCallback = std::function<void(Result<bool>)>;
+  using GetCallback = std::function<void(Result<Row>)>;
+  using ScanCallback =
+      std::function<void(Result<std::vector<std::pair<std::string, Row>>>)>;
+
   /// Quorum write of a full row (columns replace the previous row).
   void put(const std::string& table, const std::string& key,
-           std::map<std::string, Json> columns, PutCallback cb) override;
+           std::map<std::string, Json> columns, PutCallback cb);
 
   /// Quorum delete.
-  void erase(const std::string& table, const std::string& key,
-             PutCallback cb) override;
+  void erase(const std::string& table, const std::string& key, PutCallback cb);
 
   /// Quorum read. The freshest replica row among the quorum wins.
-  void get(const std::string& table, const std::string& key,
-           GetCallback cb) override;
+  void get(const std::string& table, const std::string& key, GetCallback cb);
 
   /// Full-table scan served by one up replica (Cassandra range scan
   /// analogue). Fails Unavailable when every replica is down.
-  void scan(const std::string& table, ScanCallback cb) override;
+  void scan(const std::string& table, ScanCallback cb);
 
   /// Take a replica down / bring it back (recovering replicas miss writes
   /// made while down — exactly the staleness quorums exist to mask).

@@ -298,6 +298,30 @@ TEST_F(GossipTest, BroadcastReachesEveryMember) {
   EXPECT_EQ(delivered, 30);
 }
 
+TEST_F(GossipTest, RelayedEventAuditsCleanBeforeNextTick) {
+  // A relayed event enters the peer's buffer with the full retransmit
+  // budget; the budget only shrinks on the peer's next tick. The audit must
+  // accept that state, so audit from inside the delivery callback.
+  spawn(1);
+  GroupAgent& peer = spawn(2);
+  simulator_.run_for(2 * kSecond);
+  ASSERT_TRUE(converged(2));
+
+  int audited = 0;
+  peer.set_event_handler([&](const EventPayload&) {
+    int rounds = 0;
+    peer.event_buffer().for_each_pending(
+        [&rounds](EventId, int rounds_left) { rounds = rounds_left; });
+    EXPECT_EQ(rounds, config_.event_retransmit_rounds);
+    const auto report = core::audit_gossip(peer, simulator_.now());
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    ++audited;
+  });
+  agents_.front()->broadcast("probe", nullptr, /*deliver_locally=*/false);
+  simulator_.run_for(1 * kSecond);
+  EXPECT_EQ(audited, 1);
+}
+
 TEST_F(GossipTest, BroadcastDeliveredExactlyOncePerMember) {
   for (std::uint32_t i = 1; i <= 16; ++i) spawn(i);
   simulator_.run_for(15 * kSecond);

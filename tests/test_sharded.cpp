@@ -294,8 +294,6 @@ struct ShardedRun {
 ShardedRun run_sharded_scenario(std::uint64_t seed, unsigned shards,
                                 unsigned data_sub_shards = 1,
                                 unsigned edge_sub_shards = 1,
-                                bool per_edge_windows = false,
-                                bool async_store = false,
                                 Duration record_interval = 0) {
   harness::TestbedConfig config;
   config.num_nodes = 25;
@@ -303,8 +301,6 @@ ShardedRun run_sharded_scenario(std::uint64_t seed, unsigned shards,
   config.shards = shards;
   config.data_sub_shards = data_sub_shards;
   config.edge_sub_shards = edge_sub_shards;
-  config.per_edge_windows = per_edge_windows;
-  config.async_store = async_store;
   // Telemetry is observation-only, so recording runs reuse the
   // recording-off goldens; wall profiling rides along to get its
   // cross-thread hand-off under TSan.
@@ -395,255 +391,11 @@ TEST(ShardedDeterminism, SubShardDigestIdenticalAcrossWorkerCounts) {
 // across commits. Regenerate with run_sharded_scenario(42, 1, 2, 2) on an
 // intentional kernel or protocol change; pinned for the CI toolchain
 // (libstdc++), like the other goldens.
+constexpr std::uint64_t kSubShardGolden = 10951893430333504723ull;
+
 TEST(ShardedDeterminism, SubShardChurnScenarioMatchesGoldenDigest) {
   const ShardedRun run = run_sharded_scenario(42, 1, /*data=*/2, /*edge=*/2);
-  EXPECT_NE(run.digest, 1276291866252644938ull);
-  EXPECT_EQ(run.results, 10u);
-}
-
-// ---------------------------------------------------------------------------
-// Per-edge lookahead matrix (Topology::lookahead_matrix): per-pair
-// cross-region floors, intra floors between siblings only, unconstrained
-// diagonal — and the mutators rebuild it eagerly.
-
-TEST(LookaheadMatrix, CrossRegionPairsUseShrunkPairLatency) {
-  net::Topology topology;  // jitter 0.1, unsplit: 5 shards = the Region enum
-  const auto l = [&](Region a, Region b) {
-    return topology.lookahead(static_cast<std::size_t>(a),
-                              static_cast<std::size_t>(b));
-  };
-  // Per-pair floors are the one-way base latencies shrunk by worst-case
-  // jitter — NOT the global 2.7 ms min that the old single window used.
-  EXPECT_EQ(l(Region::Ohio, Region::Canada),
-            static_cast<Duration>(13 * kMillisecond * 0.9));
-  EXPECT_EQ(l(Region::Ohio, Region::AppEdge),
-            static_cast<Duration>(3 * kMillisecond * 0.9));
-  EXPECT_EQ(l(Region::Canada, Region::California),
-            static_cast<Duration>(35 * kMillisecond * 0.9));
-  // Diagonal: same-shard sends never cross kernels.
-  EXPECT_EQ(l(Region::Ohio, Region::Ohio), kNoTrafficLookahead);
-  EXPECT_EQ(topology.lookahead_matrix().size(), 25u);
-}
-
-TEST(LookaheadMatrix, SiblingSubShardsGetIntraFloorOthersKeepPairFloors) {
-  net::Topology topology;
-  topology.set_sub_shards(Region::Ohio, 2);  // shards 0,1 = Ohio siblings
-  const std::size_t canada = topology.shard_base(Region::Canada);
-  const std::size_t edge = topology.shard_base(Region::AppEdge);
-  // Siblings: the intra-region floor.
-  EXPECT_EQ(topology.lookahead(0, 1),
-            topology.intra_lookahead_floor(Region::Ohio));
-  EXPECT_EQ(topology.lookahead(1, 0),
-            topology.intra_lookahead_floor(Region::Ohio));
-  // Both Ohio sub-shards keep the Ohio->X pair floors outward.
-  EXPECT_EQ(topology.lookahead(0, canada),
-            static_cast<Duration>(13 * kMillisecond * 0.9));
-  EXPECT_EQ(topology.lookahead(1, canada),
-            static_cast<Duration>(13 * kMillisecond * 0.9));
-  // THE per-edge point: splitting Ohio does not narrow edges that do not
-  // touch Ohio — while the old global window collapsed to Ohio's 0.45 ms
-  // intra floor for everyone.
-  EXPECT_EQ(topology.lookahead(canada, edge),
-            static_cast<Duration>(14 * kMillisecond * 0.9));
-  EXPECT_EQ(topology.sharded_lookahead_floor(),
-            topology.intra_lookahead_floor(Region::Ohio));
-}
-
-TEST(LookaheadMatrix, OverrideWritesEntryAndMutatorsRebuild) {
-  net::Topology topology;
-  topology.set_lookahead_override(0, 1, 42);
-  EXPECT_EQ(topology.lookahead(0, 1), 42);
-  EXPECT_NE(topology.lookahead(1, 0), 42);  // one directed edge only
-  // Any topology mutation rebuilds the matrix from scratch: the override is
-  // a claim about the CURRENT topology and must not survive a change.
-  topology.set_jitter(0.1);
-  EXPECT_EQ(topology.lookahead(0, 1),
-            static_cast<Duration>(13 * kMillisecond * 0.9));
-  topology.set_lookahead_override(0, 1, 42);
-  topology.set_sub_shards(Region::Ohio, 2);
-  EXPECT_NE(topology.lookahead(0, 1), 42);
-}
-
-// ---------------------------------------------------------------------------
-// Per-edge driver on bare kernels: the round schedule is a pure function of
-// committed times and the matrix, so digests must not depend on the worker
-// count; runs end exactly at the target.
-
-std::uint64_t run_bare_cascade_per_edge(unsigned threads, Duration tight,
-                                        std::uint64_t* rounds = nullptr) {
-  std::vector<std::unique_ptr<sim::Simulator>> sims;
-  std::vector<sim::Simulator*> ptrs;
-  for (int s = 0; s < 3; ++s) {
-    sims.push_back(std::make_unique<sim::Simulator>());
-    ptrs.push_back(sims.back().get());
-    sims.back()->every(700, [] {});
-    struct Cascade {
-      static void arm(sim::Simulator& s, int depth) {
-        if (depth == 0) return;
-        s.schedule_after(300, [&s, depth] { arm(s, depth - 1); });
-        s.schedule_after(500, [&s, depth] { arm(s, depth - 1); });
-      }
-    };
-    Cascade::arm(*sims.back(), 6);
-  }
-  // Asymmetric matrix: shards 0<->1 are a tight pair, shard 2 hangs off
-  // loose 10x edges — the shape the hysteresis exists for.
-  std::vector<Duration> lookahead(9, kNoTrafficLookahead);
-  const auto at = [&](std::size_t s, std::size_t d) -> Duration& {
-    return lookahead[s * 3 + d];
-  };
-  at(0, 1) = at(1, 0) = tight;
-  at(0, 2) = at(2, 0) = at(1, 2) = at(2, 1) = 10 * tight;
-  sim::ShardedSimulator driver(std::move(ptrs), std::move(lookahead), threads);
-  driver.run_until(50 * kMillisecond);
-  EXPECT_EQ(driver.now(), 50 * kMillisecond);
-  for (std::size_t i = 0; i < driver.num_shards(); ++i) {
-    EXPECT_EQ(driver.committed_times()[i], 50 * kMillisecond);
-  }
-  if (rounds != nullptr) *rounds = driver.rounds();
-  return driver.digest();
-}
-
-TEST(PerEdgeDriver, BareKernelDigestIndependentOfWorkerCount) {
-  std::uint64_t rounds1 = 0;
-  std::uint64_t rounds3 = 0;
-  const std::uint64_t one = run_bare_cascade_per_edge(1, 2500, &rounds1);
-  EXPECT_EQ(one, run_bare_cascade_per_edge(2, 2500));
-  EXPECT_EQ(one, run_bare_cascade_per_edge(3, 2500, &rounds3));
-  // The round SCHEDULE is part of the contract too, not just event order.
-  EXPECT_EQ(rounds1, rounds3);
-}
-
-TEST(PerEdgeDriver, LooseShardWakesFarLessThanTightPair) {
-  std::vector<std::unique_ptr<sim::Simulator>> sims;
-  std::vector<sim::Simulator*> ptrs;
-  for (int s = 0; s < 3; ++s) {
-    sims.push_back(std::make_unique<sim::Simulator>());
-    ptrs.push_back(sims.back().get());
-    sims.back()->every(100, [] {});
-  }
-  std::vector<Duration> lookahead(9, kNoTrafficLookahead);
-  const auto at = [&](std::size_t s, std::size_t d) -> Duration& {
-    return lookahead[s * 3 + d];
-  };
-  at(0, 1) = at(1, 0) = 1000;
-  at(0, 2) = at(2, 0) = at(1, 2) = at(2, 1) = 10000;
-  sim::ShardedSimulator driver(std::move(ptrs), std::move(lookahead), 1);
-  driver.run_until(1000 * kMillisecond);
-  // Shard 2's stride is set by its own 10 ms incoming edges, not by the
-  // tight pair's 1 ms edges: it must run an order of magnitude fewer
-  // windows. (A global window would give all three the same count.)
-  EXPECT_LT(driver.shard_windows(2) * 5, driver.shard_windows(0));
-  // And its average window is far wider than the tight pair's.
-  EXPECT_GT(driver.shard_window_width(2) / driver.shard_windows(2),
-            2 * (driver.shard_window_width(0) / driver.shard_windows(0)));
-}
-
-TEST(PerEdgeDriver, SplittingOnePairDoesNotNarrowAThirdShard) {
-  // Regression for the headline property: tightening one edge pair (as a
-  // sub-shard split does) must not multiply an uninvolved shard's wakes.
-  const auto run = [](Duration pair_lookahead) {
-    std::vector<std::unique_ptr<sim::Simulator>> sims;
-    std::vector<sim::Simulator*> ptrs;
-    for (int s = 0; s < 3; ++s) {
-      sims.push_back(std::make_unique<sim::Simulator>());
-      ptrs.push_back(sims.back().get());
-      sims.back()->every(100, [] {});
-    }
-    std::vector<Duration> lookahead(9, kNoTrafficLookahead);
-    const auto at = [&](std::size_t s, std::size_t d) -> Duration& {
-      return lookahead[s * 3 + d];
-    };
-    at(0, 1) = at(1, 0) = pair_lookahead;
-    at(0, 2) = at(2, 0) = at(1, 2) = at(2, 1) = 10000;
-    sim::ShardedSimulator driver(std::move(ptrs), std::move(lookahead), 1);
-    driver.run_until(1000 * kMillisecond);
-    return driver.shard_windows(2);
-  };
-  const std::uint64_t loose = run(10000);
-  const std::uint64_t tight = run(1000);  // pair 10x tighter
-  // Under the old global window shard 2 would run 10x more windows; per-edge
-  // horizons keep it within a small constant of the loose layout.
-  EXPECT_LT(tight, loose * 2);
-}
-
-TEST(ShardStagerDeath, PerEdgeDeliveryInsideDestinationBarrierFails) {
-  sim::Simulator sims[2];
-  net::Topology topology;
-  net::ShardStager stager(2);
-  std::vector<net::SimTransport*> targets;
-  std::vector<std::unique_ptr<net::SimTransport>> transports;
-  for (int s = 0; s < 2; ++s) {
-    transports.push_back(std::make_unique<net::SimTransport>(
-        sims[s], topology, Rng(7 + s)));
-    targets.push_back(transports[s].get());
-  }
-  stager.stage(0, 1, staged(999, NodeId{4}, NodeId{9}, 1));
-  // Destination 1's own committed horizon is what the delivery must clear;
-  // the other shard's barrier is irrelevant.
-  const std::vector<SimTime> barriers{5000, 1000};
-  EXPECT_DEATH(stager.merge_at_barrier(barriers, targets), "lookahead floor");
-}
-
-// ---------------------------------------------------------------------------
-// Per-edge windows on the full testbed: digests legitimately differ from the
-// global-window schedule (different same-instant interleavings) but must be
-// byte-identical across worker counts for every sub-shard split.
-
-TEST(PerEdgeDeterminism, DigestIdenticalAcrossWorkerCounts) {
-  const ShardedRun one =
-      run_sharded_scenario(42, 1, 1, 1, /*per_edge=*/true);
-  const ShardedRun two =
-      run_sharded_scenario(42, 2, 1, 1, /*per_edge=*/true);
-  const ShardedRun four =
-      run_sharded_scenario(42, 4, 1, 1, /*per_edge=*/true);
-  const ShardedRun eight =
-      run_sharded_scenario(42, 8, 1, 1, /*per_edge=*/true);
-  EXPECT_EQ(one.digest, two.digest);
-  EXPECT_EQ(one.digest, four.digest);
-  EXPECT_EQ(one.digest, eight.digest);
-  EXPECT_EQ(one.executed, eight.executed);
-  EXPECT_EQ(one.results, eight.results);
-}
-
-TEST(PerEdgeDeterminism, SubShardDigestIdenticalAcrossWorkerCounts) {
-  const ShardedRun one =
-      run_sharded_scenario(42, 1, 2, 2, /*per_edge=*/true);
-  const ShardedRun two =
-      run_sharded_scenario(42, 2, 2, 2, /*per_edge=*/true);
-  const ShardedRun four =
-      run_sharded_scenario(42, 4, 2, 2, /*per_edge=*/true);
-  const ShardedRun eight =
-      run_sharded_scenario(42, 8, 2, 2, /*per_edge=*/true);
-  EXPECT_EQ(one.digest, two.digest);
-  EXPECT_EQ(one.digest, four.digest);
-  EXPECT_EQ(one.digest, eight.digest);
-  EXPECT_EQ(one.executed, eight.executed);
-  EXPECT_EQ(one.results, eight.results);
-}
-
-TEST(PerEdgeDeterminism, WideSplitDigestIdenticalAcrossWorkerCounts) {
-  const ShardedRun one =
-      run_sharded_scenario(42, 1, 4, 4, /*per_edge=*/true);
-  const ShardedRun four =
-      run_sharded_scenario(42, 4, 4, 4, /*per_edge=*/true);
-  const ShardedRun eight =
-      run_sharded_scenario(42, 8, 4, 4, /*per_edge=*/true);
-  EXPECT_EQ(one.digest, four.digest);
-  EXPECT_EQ(one.digest, eight.digest);
-  EXPECT_EQ(one.executed, eight.executed);
-}
-
-// Golden replay for the per-edge schedule, the analogue of
-// SubShardChurnScenarioMatchesGoldenDigest: per-edge rounds interleave
-// same-instant cross-shard deliveries differently from the global window, so
-// this digest differs from the sub-shard golden by design — but it must be
-// stable across commits and worker counts. Regenerate with
-// run_sharded_scenario(42, 1, 2, 2, true) on an intentional kernel or
-// protocol change; pinned for the CI toolchain (libstdc++).
-TEST(PerEdgeDeterminism, ChurnScenarioMatchesGoldenDigest) {
-  const ShardedRun run = run_sharded_scenario(42, 1, 2, 2, /*per_edge=*/true);
-  EXPECT_EQ(run.digest, 2463241749083319352ull);
+  EXPECT_EQ(run.digest, kSubShardGolden);
   EXPECT_EQ(run.results, 10u);
 }
 
@@ -654,59 +406,14 @@ TEST(PerEdgeDeterminism, ChurnScenarioMatchesGoldenDigest) {
 // decision. Runs under TSan in CI (the 'Sharded' pre-step), which also
 // pins the recorder's coordinator-only confinement.
 TEST(ShardedTelemetry, RecordingOnMatchesRecordingOffGoldenDigest) {
-  const ShardedRun one = run_sharded_scenario(
-      42, 1, 2, 2, /*per_edge=*/true, /*async=*/false, 100 * kMillisecond);
-  const ShardedRun two = run_sharded_scenario(
-      42, 2, 2, 2, /*per_edge=*/true, /*async=*/false, 100 * kMillisecond);
-  const ShardedRun four = run_sharded_scenario(
-      42, 4, 2, 2, /*per_edge=*/true, /*async=*/false, 100 * kMillisecond);
-  EXPECT_EQ(one.digest, 2463241749083319352ull);
+  const ShardedRun one = run_sharded_scenario(42, 1, 2, 2, 100 * kMillisecond);
+  const ShardedRun two = run_sharded_scenario(42, 2, 2, 2, 100 * kMillisecond);
+  const ShardedRun four = run_sharded_scenario(42, 4, 2, 2, 100 * kMillisecond);
+  EXPECT_EQ(one.digest, kSubShardGolden);
   EXPECT_EQ(two.digest, one.digest);
   EXPECT_EQ(four.digest, one.digest);
   EXPECT_EQ(one.results, 10u);
   EXPECT_EQ(one.executed, four.executed);
-}
-
-// ---------------------------------------------------------------------------
-// Async store: the message-routed store path must settle, answer queries and
-// stay deterministic — in legacy mode, and combined with per-edge sharding.
-
-TEST(AsyncStoreDeterminism, LegacyModeSettlesAndRepeats) {
-  harness::TestbedConfig config;
-  config.num_nodes = 25;
-  config.seed = 42;
-  config.async_store = true;
-  config.agent.dynamics.volatility = 0.02;
-  std::uint64_t digests[2];
-  for (auto& digest : digests) {
-    harness::Testbed bed(config);
-    bed.start();
-    ASSERT_TRUE(bed.settle());
-    core::Query query;
-    query.terms.push_back(core::QueryTerm{"ram_mb", 0, 1e9});
-    query.limit = 10;
-    const auto result = bed.query_and_wait(query);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().entries.size(), 10u);
-    // Registrations really reached the remote cluster.
-    EXPECT_GT(bed.store().replica(0).table_size("nodes"), 0u);
-    EXPECT_EQ(bed.store_frontend()->pending(), 0u);
-    digest = bed.digest();
-  }
-  EXPECT_EQ(digests[0], digests[1]);
-}
-
-TEST(AsyncStoreDeterminism, PerEdgeShardedDigestIdenticalAcrossWorkerCounts) {
-  const ShardedRun one =
-      run_sharded_scenario(42, 1, 2, 2, /*per_edge=*/true, /*async=*/true);
-  const ShardedRun four =
-      run_sharded_scenario(42, 4, 2, 2, /*per_edge=*/true, /*async=*/true);
-  const ShardedRun eight =
-      run_sharded_scenario(42, 8, 2, 2, /*per_edge=*/true, /*async=*/true);
-  EXPECT_EQ(one.digest, four.digest);
-  EXPECT_EQ(one.digest, eight.digest);
-  EXPECT_EQ(one.executed, eight.executed);
-  EXPECT_EQ(one.results, eight.results);
 }
 
 // ---------------------------------------------------------------------------
