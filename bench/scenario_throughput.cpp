@@ -40,9 +40,9 @@ struct Options {
   std::string trace;       // Chrome-trace output path ("" = tracing off)
   std::string metrics;     // metrics-snapshot output path ("" = none)
   double qps = 0;          // client query rate; 0 keeps the stock workload
-  unsigned shards = 0;     // 0 = legacy kernel; N >= 1 = region-sharded mode
-  unsigned sub_shards = 1;       // sharded mode: kernels per data region
-  unsigned edge_sub_shards = 1;  // sharded mode: kernels at the app edge
+  unsigned shards = 0;     // 0 = one-shard layout; N >= 1 = region-sharded
+  unsigned sub_shards = 1;       // kernels per data region (needs shards)
+  unsigned edge_sub_shards = 1;  // kernels at the app edge (needs shards)
   long record_ms = 0;      // telemetry sampling cadence (0 = recording off)
   std::string timeseries;  // recorded-series output path ("" = none)
   std::string slo;         // SLO spec path; violations fail the bench
@@ -145,17 +145,25 @@ int main(int argc, char** argv) {
                    "  [--sim-seconds T] [--out bench.json] [--micro gb.json]\n"
                    "  [--append existing.json] [--label name]\n"
                    "  [--trace trace.json] [--metrics metrics.json] [--qps Q]\n"
-                   "  [--shards N]  (0 = legacy single kernel; N >= 1 =\n"
+                   "  [--shards N]  (0 = one-shard layout; N >= 1 =\n"
                    "   region-sharded mode with N worker threads)\n"
-                   "  [--sub-shards K] [--edge-sub-shards K]  (sharded mode:\n"
-                   "   kernels per data region / at the app edge; default 1)\n"
+                   "  [--sub-shards K] [--edge-sub-shards K]  (needs\n"
+                   "   --shards >= 1: kernels per data region / at the app\n"
+                   "   edge; default 1)\n"
                    "  [--record-ms N]  (sample metric time-series every N ms of\n"
-                   "   sim time; sharded mode also turns on wall profiling)\n"
+                   "   sim time; also turns on wall profiling)\n"
                    "  [--timeseries ts.json]  (write the recorded series)\n"
                    "  [--slo spec.json]  (evaluate SLO assertions; any\n"
                    "   violation or spec error exits non-zero)\n");
       return 2;
     }
+  }
+
+  if (opt.shards == 0 && (opt.sub_shards != 1 || opt.edge_sub_shards != 1)) {
+    std::fprintf(stderr,
+                 "usage: --sub-shards / --edge-sub-shards need --shards >= 1 "
+                 "(--shards 0 is the one-shard layout)\n");
+    return 2;
   }
 
   // Span recording must be on before the Testbed resets the observability
@@ -174,7 +182,7 @@ int main(int argc, char** argv) {
   // Wall profiling rides the recording switch: both are observation-only,
   // and the per-shard busy/stall/idle counters are only useful when the
   // recorder is there to turn them into series.
-  config.wall_profiling = opt.shards > 0 && opt.record_ms > 0;
+  config.wall_profiling = opt.record_ms > 0;
   config.agent.dynamics.volatility = 0.02;  // steady bucket-crossing churn
   const long rss_before_build = current_rss_bytes();
   harness::Testbed bed(config);
@@ -235,8 +243,9 @@ int main(int argc, char** argv) {
   run["peak_rss_kb"] = static_cast<std::int64_t>(peak_rss_kb());
   run["bytes_per_node"] = bytes_per_node;
   run["digest"] = std::to_string(bed.digest());
-  // Recorded only in sharded mode so stock legacy entries keep their schema
-  // (absent == 0; --compare matches baseline entries on this key).
+  // Recorded only in region-sharded mode so stock one-shard entries keep
+  // their schema (absent == 0; --compare matches baseline entries on this
+  // key).
   if (opt.shards > 0) run["shards"] = static_cast<std::int64_t>(opt.shards);
   // Sub-shard split recorded only when non-default (absent == 1), so the
   // PR7-era 25k entries keep their schema and --compare shape-matching never
@@ -247,7 +256,8 @@ int main(int argc, char** argv) {
   if (opt.edge_sub_shards != 1) {
     run["edge_sub_shards"] = static_cast<std::int64_t>(opt.edge_sub_shards);
   }
-  if (const sim::ShardedSimulator* driver = bed.sharded(); driver != nullptr) {
+  {
+    const sim::ShardedSimulator* driver = bed.sharded();
     // Deterministic coordination counts (sim-time quantities): how many
     // rounds the coordinator ran and how many windows each shard executed
     // over the whole bench (settle + measured run).

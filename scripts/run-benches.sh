@@ -28,10 +28,10 @@
 #   NODES     scenario size (default: 400)
 #   SIM_SECS  simulated seconds to run (default: 60)
 #   SEED      scenario seed (default: 7)
-#   SHARDS    0 = legacy single kernel; N >= 1 = region-sharded mode with N
-#             worker threads (default: 0)
-#   SUB_SHARDS       sharded mode: kernels per data region (default: 1)
-#   EDGE_SUB_SHARDS  sharded mode: kernels at the app edge (default: 1)
+#   SHARDS    0 = one-shard layout (one kernel for the world); N >= 1 =
+#             region-sharded mode with N worker threads (default: 0)
+#   SUB_SHARDS       kernels per data region; needs SHARDS >= 1 (default: 1)
+#   EDGE_SUB_SHARDS  kernels at the app edge; needs SHARDS >= 1 (default: 1)
 #   RECORD_MS        telemetry sampling cadence in ms of sim time; 0 = off
 #                    (default: 0). Recording is observation-only: the digest
 #                    gate above holds with it on or off.
@@ -66,6 +66,10 @@ sub_shards=${SUB_SHARDS:-1}
 edge_sub_shards=${EDGE_SUB_SHARDS:-1}
 record_ms=${RECORD_MS:-0}
 slo=${SLO:-}
+if [[ "$shards" -eq 0 && ( "$sub_shards" -ne 1 || "$edge_sub_shards" -ne 1 ) ]]; then
+  echo "run-benches.sh: SUB_SHARDS / EDGE_SUB_SHARDS need SHARDS >= 1" >&2
+  exit 2
+fi
 
 cmake --build "$build_dir" -j --target micro_core micro_control micro_gossip \
   micro_sharded scenario_throughput

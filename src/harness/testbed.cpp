@@ -63,72 +63,55 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
   config_.sync_agent_config();
   Rng rng(config_.seed);
 
-  // Placement before any shard lookup; place() never draws randomness, so
-  // hoisting it above the transport forks is digest-neutral for legacy mode.
+  // Placement before any shard lookup; place() never draws randomness.
   topology_.place(kServerNode, Region::AppEdge);
   topology_.place(kAppNode, Region::AppEdge);
   topology_.place(kBrokerNode, Region::AppEdge);
 
-  const bool sharded = config_.shards > 0;
-  if (sharded) {
-    // The sub-shard split is workload config: fix it before any shard index
-    // is computed so Topology::shard_of is stable for the world's lifetime.
+  // The shard layout is workload config: fix it before any shard index is
+  // computed so Topology::shard_of is stable for the world's lifetime.
+  if (config_.shards == 0) {
+    FOCUS_CHECK(config_.data_sub_shards <= 1 && config_.edge_sub_shards <= 1)
+        << "sub-shard splits need shards >= 1; shards == 0 is the one-shard "
+           "layout";
+    topology_.set_one_shard();
+  } else {
     for (std::size_t r = 0; r < kNumDataRegions; ++r) {
       topology_.set_sub_shards(static_cast<Region>(r), config_.data_sub_shards);
     }
     topology_.set_sub_shards(Region::AppEdge, config_.edge_sub_shards);
-    const std::size_t num_shards = topology_.num_shards();
-    const std::size_t service_shard = topology_.shard_of(kServerNode);
-    stager_ = std::make_unique<net::ShardStager>(num_shards);
-    // Kernels and transports in shard order; the service shard reuses
-    // simulator_ / transport_. Transports fork the seed rng in shard order —
-    // with no sub-shard splits that is the four data regions first and the
-    // app edge (= service shard) last, the exact PR7 fork layout, so the
-    // pinned sharded digests are untouched. Legacy mode performs only the
-    // transport_ fork, so its rng stream is untouched too.
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      sim::Simulator* sim = nullptr;
-      if (s == service_shard) {
-        sim = &simulator_;
-      } else {
-        owned_sims_.push_back(std::make_unique<sim::Simulator>());
-        sim = owned_sims_.back().get();
-      }
-      shard_sims_.push_back(sim);
-      auto transport =
-          std::make_unique<net::SimTransport>(*sim, topology_, rng.fork());
-      transport->set_loss_rate(config_.loss_rate);
-      transport->enable_sharding(s, stager_.get());
-      shard_transports_.push_back(transport.get());
-      if (s == service_shard) {
-        transport_ = std::move(transport);
-      } else {
-        owned_transports_.push_back(std::move(transport));
-      }
-    }
-  } else {
-    transport_ =
-        std::make_unique<net::SimTransport>(simulator_, topology_, rng.fork());
-    transport_->set_loss_rate(config_.loss_rate);
+  }
+  const std::size_t num_shards = topology_.num_shards();
+  stager_ = std::make_unique<net::ShardStager>(num_shards);
+  // Kernels and transports in shard order. Transports fork the seed rng in
+  // shard order — with no sub-shard splits that is the four data regions
+  // first and the app edge last, the PR7 fork layout; the one-shard layout
+  // forks once, like the historical single-kernel world — so every pinned
+  // digest is untouched.
+  std::vector<sim::Simulator*> kernels;
+  std::vector<net::SimTransport*> targets;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    sims_.push_back(std::make_unique<sim::Simulator>());
+    transports_.push_back(
+        std::make_unique<net::SimTransport>(*sims_.back(), topology_, rng.fork()));
+    transports_.back()->set_loss_rate(config_.loss_rate);
+    transports_.back()->enable_sharding(s, stager_.get());
+    kernels.push_back(sims_.back().get());
+    targets.push_back(transports_.back().get());
   }
 
-  store_ = std::make_unique<store::Cluster>(simulator_, config_.store,
+  store_ = std::make_unique<store::Cluster>(simulator(), config_.store,
                                            rng.fork().next_u64());
-  service_ = std::make_unique<core::Service>(simulator_, *transport_,
+  service_ = std::make_unique<core::Service>(simulator(), transport(),
                                              *store_, kServerNode,
                                              config_.service,
                                              core::ServerCostModel{},
                                              rng.fork().next_u64());
   // The app client lives on kAppNode's own shard (an edge sub-shard when the
-  // app edge is split); with no splits that is the service shard, the PR7
-  // layout.
-  sim::Simulator& client_sim =
-      sharded ? *shard_sims_[topology_.shard_of(kAppNode)] : simulator_;
-  net::SimTransport& client_tr =
-      sharded ? *shard_transports_[topology_.shard_of(kAppNode)] : *transport_;
-  client_ = std::make_unique<core::Client>(client_sim, client_tr,
-                                           net::Address{kAppNode, 10},
-                                           service_->north_addr());
+  // app edge is split); with no splits that is the service shard.
+  client_ = std::make_unique<core::Client>(
+      simulator_for(kAppNode), transport_for(kAppNode),
+      net::Address{kAppNode, 10}, service_->north_addr());
 
   // One immutable config and one resource walk plan for the whole fleet
   // (memory compaction: agents hold handles, not copies).
@@ -139,58 +122,39 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
     const NodeId id{kAgentBase + static_cast<std::uint32_t>(i)};
     const Region region = region_of_index(i);
     topology_.place(id, region);
-    const std::size_t shard = sharded ? topology_.shard_of(id) : 0;
-    sim::Simulator& sim = sharded ? *shard_sims_[shard] : simulator_;
-    net::SimTransport& tr = sharded ? *shard_transports_[shard] : *transport_;
-    agents_.emplace_back(sim, tr, id, region, service_->south_addr(),
-                         config_.service.schema, agent_config_, rng.fork(),
-                         step_plan_);
+    agents_.emplace_back(simulator_for(id), transport_for(id), id, region,
+                         service_->south_addr(), config_.service.schema,
+                         agent_config_, rng.fork(), step_plan_);
   }
 
-  if (sharded) {
-    // Window bound for the configured layout: the cross-region floor, or a
-    // split region's intra-region floor when that is tighter.
-    sharded_ = std::make_unique<sim::ShardedSimulator>(
-        shard_sims_, topology_.sharded_lookahead_floor(), config_.shards);
-    sharded_->set_barrier_hook([this](SimTime t) {
-      stager_->merge_at_barrier(t, shard_transports_);
-      if (next_audit_ > 0 && t >= next_audit_) {
-        ++audits_run_;
-        const core::AuditReport report = audit();
-        FOCUS_CHECK(report.ok())
-            << "periodic structural audit #" << audits_run_ << " at t=" << t
-            << "us\n"
-            << report.to_string();
-        next_audit_ = t + config_.audit_interval;
-      }
-      // Telemetry sampling rides the same barrier: workers are parked, so
-      // aggregated_metrics() is quiescent. Windows quantize the cadence —
-      // the recorder stores actual interval ends, so rates stay exact.
-      if (recorder_ && t >= recorder_->next_due()) sample_telemetry(t);
-    });
-    if (config_.wall_profiling) sharded_->set_wall_profiling(true);
-  }
-
-  if (config_.audit_interval > 0) {
-    if (sharded) {
-      next_audit_ = config_.audit_interval;
-    } else {
-      audit_timer_ = simulator_.every(config_.audit_interval, [this] {
-        ++audits_run_;
-        const core::AuditReport report = audit();
-        FOCUS_CHECK(report.ok()) << "periodic structural audit #" << audits_run_
-                                 << " at t=" << simulator_.now() << "us\n"
-                                 << report.to_string();
-      });
+  // Window bound for the configured layout: the cross-region floor, or a
+  // split region's intra-region floor when that is tighter.
+  sharded_ = std::make_unique<sim::ShardedSimulator>(
+      std::move(kernels), topology_.sharded_lookahead_floor(), config_.shards);
+  sharded_->set_barrier_hook([this, targets = std::move(targets)](SimTime t) {
+    stager_->merge_at_barrier(t, targets);
+    if (next_audit_ > 0 && t >= next_audit_) {
+      ++audits_run_;
+      const core::AuditReport report = audit();
+      FOCUS_CHECK(report.ok())
+          << "periodic structural audit #" << audits_run_ << " at t=" << t
+          << "us\n"
+          << report.to_string();
+      next_audit_ = t + config_.audit_interval;
     }
-  }
+    // Telemetry sampling rides the same barrier: workers are parked, so
+    // aggregated_metrics() is quiescent. Windows quantize the cadence —
+    // the recorder stores actual interval ends, so rates stay exact.
+    if (recorder_ && t >= recorder_->next_due()) sample_telemetry(t);
+  });
+  sharded_->set_wall_profiling(config_.wall_profiling);
+  next_audit_ = config_.audit_interval;
 }
 
 Testbed::~Testbed() {
-  if (audit_timer_ != 0) simulator_.cancel(audit_timer_);
-  // Stop agents before the transports/service go away. In sharded mode the
-  // workers are parked (no run is in flight), so touching shard state from
-  // this thread is ordered by the driver's last barrier.
+  // Stop agents before the transports/service go away. The workers are
+  // parked (no run is in flight), so touching shard state from this thread
+  // is ordered by the driver's last barrier.
   for (auto& agent : agents_) agent.stop();
   if (!trace_path_.empty()) write_trace(trace_path_);
   if (!timeseries_path_.empty()) write_timeseries(timeseries_path_);
@@ -206,42 +170,8 @@ Testbed::~Testbed() {
 }
 
 void Testbed::run_for(Duration d) {
-  if (sharded_) {
-    // Sampling happens in the barrier hook (workers parked).
-    sharded_->run_for(d);
-    return;
-  }
-  if (!recorder_) {
-    simulator_.run_for(d);
-    return;
-  }
-  // Chunk the run at each recorder due time. run_until executes the same
-  // events in the same order no matter how the span is subdivided, so the
-  // chunking is digest-neutral (tests/test_telemetry.cpp pins this).
-  const SimTime target = simulator_.now() + d;
-  while (simulator_.now() < target) {
-    simulator_.run_until(std::min<SimTime>(target, recorder_->next_due()));
-    if (simulator_.now() >= recorder_->next_due()) {
-      sample_telemetry(simulator_.now());
-    }
-  }
-}
-
-SimTime Testbed::now() const noexcept {
-  return sharded_ ? sharded_->now() : simulator_.now();
-}
-
-std::uint64_t Testbed::digest() const noexcept {
-  return sharded_ ? sharded_->digest() : simulator_.digest();
-}
-
-std::uint64_t Testbed::executed() const noexcept {
-  return sharded_ ? sharded_->executed() : simulator_.executed();
-}
-
-net::SimTransport& Testbed::transport_for(NodeId node) {
-  if (!sharded_) return *transport_;
-  return *shard_transports_[topology_.shard_of(node)];
+  // Audits and sampling happen in the barrier hook (workers parked).
+  sharded_->run_for(d);
 }
 
 void Testbed::write_trace(const std::string& path) const {
@@ -254,22 +184,17 @@ void Testbed::write_trace(const std::string& path) const {
 }
 
 std::map<std::string, net::MsgKindStats> Testbed::traffic_totals() const {
-  // Sum the per-kind traffic tables over every transport (one in legacy
-  // mode, five in sharded mode); std::map keeps the kind order stable.
+  // Sum the per-kind traffic tables over every shard's transport; std::map
+  // keeps the kind order stable.
   std::map<std::string, net::MsgKindStats> totals;
-  const auto fold = [&totals](const net::SimTransport& t) {
-    t.stats().for_each_kind(
+  for (const auto& t : transports_) {
+    t->stats().for_each_kind(
         [&totals](std::string_view kind, const net::MsgKindStats& s) {
           net::MsgKindStats& agg = totals[std::string(kind)];
           agg.msgs += s.msgs;
           agg.payload_builds += s.payload_builds;
           agg.bytes += s.bytes;
         });
-  };
-  if (sharded_) {
-    for (const net::SimTransport* t : shard_transports_) fold(*t);
-  } else {
-    fold(*transport_);
   }
   return totals;
 }
@@ -289,25 +214,23 @@ obs::MetricSet Testbed::telemetry_snapshot() const {
     snap.add(obs::MetricId::counter(prefix + ".payload_builds"),
              static_cast<double>(s.payload_builds));
   }
-  if (sharded_) {
-    for (std::size_t i = 0; i < sharded_->num_shards(); ++i) {
-      const std::string prefix = "sharded.shard" + std::to_string(i);
-      snap.add(obs::MetricId::counter(prefix + ".windows"),
-               static_cast<double>(sharded_->shard_windows(i)));
-      snap.add(obs::MetricId::counter(prefix + ".window_width_us"),
-               static_cast<double>(sharded_->shard_window_width(i)));
-      snap.add(obs::MetricId::counter(prefix + ".events"),
-               static_cast<double>(sharded_->shard(i).executed()));
-      if (sharded_->wall_profiling()) {
-        const sim::ShardedSimulator::ShardProfile& p =
-            sharded_->shard_profiles()[i];
-        snap.add(obs::MetricId::counter(prefix + ".busy_us"),
-                 static_cast<double>(p.busy_ns) / 1000.0);
-        snap.add(obs::MetricId::counter(prefix + ".stall_us"),
-                 static_cast<double>(p.stall_ns) / 1000.0);
-        snap.add(obs::MetricId::counter(prefix + ".idle_us"),
-                 static_cast<double>(p.idle_ns) / 1000.0);
-      }
+  for (std::size_t i = 0; i < sharded_->num_shards(); ++i) {
+    const std::string prefix = "sharded.shard" + std::to_string(i);
+    snap.add(obs::MetricId::counter(prefix + ".windows"),
+             static_cast<double>(sharded_->shard_windows(i)));
+    snap.add(obs::MetricId::counter(prefix + ".window_width_us"),
+             static_cast<double>(sharded_->shard_window_width(i)));
+    snap.add(obs::MetricId::counter(prefix + ".events"),
+             static_cast<double>(sharded_->shard(i).executed()));
+    if (sharded_->wall_profiling()) {
+      const sim::ShardedSimulator::ShardProfile& p =
+          sharded_->shard_profiles()[i];
+      snap.add(obs::MetricId::counter(prefix + ".busy_us"),
+               static_cast<double>(p.busy_ns) / 1000.0);
+      snap.add(obs::MetricId::counter(prefix + ".stall_us"),
+               static_cast<double>(p.stall_ns) / 1000.0);
+      snap.add(obs::MetricId::counter(prefix + ".idle_us"),
+               static_cast<double>(p.idle_ns) / 1000.0);
     }
   }
   return snap;

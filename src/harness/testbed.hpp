@@ -4,24 +4,26 @@
 // and an application client at the app edge. Shared by integration tests,
 // benches and examples.
 //
-// Two execution modes:
-//  - Legacy (shards == 0): one kernel, one transport — the historical
-//    single-threaded world whose event digests are pinned in tests/benches.
-//  - Sharded (shards >= 1): one kernel + transport per (region, sub-shard)
-//    pair — four data regions plus the app edge, each optionally split into
-//    K sub-shards (data_sub_shards / edge_sub_shards) — driven by
-//    sim::ShardedSimulator in conservative windows with cross-shard traffic
-//    staged through net::ShardStager. The shard layout is fixed by config
-//    and NodeId (Topology::shard_of); `shards` only sets the worker-thread
-//    count, so digests are byte-identical for any shards >= 1 (enforced by
-//    tests/test_sharded.cpp). Splitting the app edge spreads the service
-//    (node 0), broker (node 1) and app client (node 2) across edge
-//    sub-shards by the same consistent NodeId assignment, so the hottest
-//    shard no longer serializes the fleet.
+// One execution path: one kernel + transport per shard, driven by
+// sim::ShardedSimulator in conservative windows with cross-shard traffic
+// staged through net::ShardStager. The shard layout is fixed by config and
+// NodeId (Topology::shard_of):
+//  - shards == 0: the one-shard layout — one kernel and one transport for
+//    the whole world, the single-threaded world whose event digests are
+//    pinned in tests/benches.
+//  - shards >= 1: one shard per (region, sub-shard) pair — four data
+//    regions plus the app edge, each optionally split into K sub-shards
+//    (data_sub_shards / edge_sub_shards). `shards` only sets the
+//    worker-thread count, so digests are byte-identical for any shards >= 1
+//    (enforced by tests/test_sharded.cpp). Splitting the app edge spreads
+//    the service (node 0), broker (node 1) and app client (node 2) across
+//    edge sub-shards by the same consistent NodeId assignment, so the
+//    hottest shard no longer serializes the fleet.
 //
-// In both modes the store cluster runs inside the service kernel and the
-// service calls it directly. Sharded mode advances every shard in one global
-// conservative window; DESIGN.md §10 gives the measured reason for both.
+// The store cluster runs inside the service kernel and the service calls it
+// directly; every shard advances in one global conservative window, and
+// audits and telemetry sampling run at the window barriers. DESIGN.md §10
+// gives the measured reasons.
 
 #include <map>
 #include <memory>
@@ -62,33 +64,34 @@ struct TestbedConfig {
   store::ClusterConfig store;
   double loss_rate = 0;
 
-  /// 0 = legacy single-kernel mode. >= 1 = region-sharded mode with this
-  /// many worker threads (clamped to the shard count); 1 runs the same
-  /// windowed algorithm inline. Sharded digests differ from legacy ones
-  /// (different rng fork layout) but are identical across `shards` values.
+  /// 0 = the one-shard layout. >= 1 = one shard per region (sub-shard) with
+  /// this many worker threads (clamped to the shard count); 1 runs the same
+  /// windowed algorithm inline. Region-sharded digests differ from one-shard
+  /// ones (different rng fork layout) but are identical across `shards`
+  /// values >= 1.
   unsigned shards = 0;
 
-  /// Sharded mode only: split every data region / the app edge into this
-  /// many sub-shards (kernels). Part of the workload config — changing a
-  /// split legitimately changes digests, but the partition is a pure
-  /// function of NodeId (Topology::shard_of), never of `shards`, so digests
-  /// stay byte-identical across worker counts. 1/1 reproduces the PR7
-  /// one-kernel-per-region layout bit for bit. Splitting a region shrinks
-  /// the conservative window to its intra-region lookahead floor.
+  /// Split every data region / the app edge into this many sub-shards
+  /// (kernels); > 1 needs shards >= 1 (FOCUS_CHECKed). Part of the workload
+  /// config — changing a split legitimately changes digests, but the
+  /// partition is a pure function of NodeId (Topology::shard_of), never of
+  /// `shards`, so digests stay byte-identical across worker counts. 1/1
+  /// reproduces the PR7 one-kernel-per-region layout bit for bit. Splitting
+  /// a region shrinks the conservative window to its intra-region lookahead
+  /// floor.
   unsigned data_sub_shards = 1;
   unsigned edge_sub_shards = 1;
 
-  /// When > 0, run the structural-invariant audit (focus/audit.hpp) every
-  /// this many microseconds of simulated time and abort (FOCUS_CHECK) on the
-  /// first violation. Off by default: benches measure undisturbed costs.
-  /// In sharded mode the audit runs at the first window barrier at or after
-  /// each due time (windows are ~2.7 ms, so the skew is negligible).
+  /// When > 0, run the structural-invariant audit (focus/audit.hpp) at the
+  /// first window barrier at or after every multiple of this many
+  /// microseconds of simulated time (windows are ~2.7 ms, so the skew is
+  /// negligible) and abort (FOCUS_CHECK) on the first violation. Off by
+  /// default: benches measure undisturbed costs.
   Duration audit_interval = 0;
 
   /// When > 0, sample every registered metric into an obs::Recorder on this
-  /// sim-time cadence (legacy mode: run_for chunks at each due time; sharded
-  /// mode: the first barrier at or after each due time). Observation-only —
-  /// digests are byte-identical with recording on or off
+  /// sim-time cadence (at the first barrier at or after each due time).
+  /// Observation-only — digests are byte-identical with recording on or off
   /// (tests/test_telemetry.cpp pins this). FOCUS_RECORD=<ms> sets it from
   /// the environment at construction.
   Duration record_interval = 0;
@@ -99,9 +102,8 @@ struct TestbedConfig {
   /// record_interval > 0.
   std::string slo_path;
 
-  /// Sharded mode only: wall-clock scheduler profiling
-  /// (sim::ShardedSimulator::shard_profiles). Observation-only; digests are
-  /// unaffected.
+  /// Wall-clock scheduler profiling (sim::ShardedSimulator::shard_profiles).
+  /// Observation-only; digests are unaffected.
   bool wall_profiling = false;
 
   /// Keep the agent-side reporting settings in lockstep with the service
@@ -122,19 +124,19 @@ class Testbed {
   /// the simulator; call run_for / settle afterwards.
   void start();
 
-  /// Advance simulated time (all shards, in sharded mode).
+  /// Advance simulated time on every shard.
   void run_for(Duration d);
 
-  /// Committed simulated time: the legacy kernel's clock, or the sharded
-  /// driver's barrier time.
-  SimTime now() const noexcept;
+  /// Committed simulated time: the driver's barrier time.
+  SimTime now() const noexcept { return sharded_->now(); }
 
-  /// Order-sensitive event digest of the whole world: the kernel digest in
-  /// legacy mode, the shard-order fold in sharded mode.
-  std::uint64_t digest() const noexcept;
+  /// Order-sensitive event digest of the whole world
+  /// (sim::ShardedSimulator::digest: the sole kernel's digest in the
+  /// one-shard layout).
+  std::uint64_t digest() const noexcept { return sharded_->digest(); }
 
   /// Total events executed across every kernel.
-  std::uint64_t executed() const noexcept;
+  std::uint64_t executed() const noexcept { return sharded_->executed(); }
 
   /// Run until every agent is registered and group reports have flowed at
   /// least once (bounded by `max`). Returns true when settled.
@@ -145,34 +147,36 @@ class Testbed {
   Result<core::QueryResult> query_and_wait(core::Query query,
                                            Duration max_wait = 10 * kSecond);
 
-  /// The service kernel: the sole kernel in legacy mode; in sharded mode
-  /// the shard hosting the service node and its store (other app-edge
-  /// nodes may live on sibling edge sub-shards — see simulator_for).
-  sim::Simulator& simulator() noexcept { return simulator_; }
+  /// The service kernel: the shard hosting the service node and its store
+  /// (other app-edge nodes may live on sibling edge sub-shards — see
+  /// simulator_for). In the one-shard layout it is the whole world's kernel,
+  /// which kernel-level load drivers (run_query_load, replay_trace) may run
+  /// directly; the driver then refuses to resume (run_for aborts).
+  sim::Simulator& simulator() noexcept { return simulator_for(kServerNode); }
 
-  /// The kernel that owns `node`: its shard's kernel in sharded mode, the
-  /// sole kernel otherwise. Timers whose callbacks touch a component's
-  /// state must be scheduled on that component's own kernel (e.g. a query
-  /// driver ticks on simulator_for(kAppNode), the client's shard).
+  /// The kernel that owns `node`: its shard's kernel. Timers whose callbacks
+  /// touch a component's state must be scheduled on that component's own
+  /// kernel (e.g. a query driver ticks on simulator_for(kAppNode), the
+  /// client's shard).
   sim::Simulator& simulator_for(NodeId node) noexcept {
-    return sharded_ ? *shard_sims_[topology_.shard_of(node)] : simulator_;
+    return *sims_[topology_.shard_of(node)];
   }
   const sim::Simulator& simulator_for(NodeId node) const noexcept {
-    return sharded_ ? *shard_sims_[topology_.shard_of(node)] : simulator_;
+    return *sims_[topology_.shard_of(node)];
   }
 
-  /// The sharded driver, or nullptr in legacy mode.
+  /// The driver that advances every shard (never null).
   sim::ShardedSimulator* sharded() noexcept { return sharded_.get(); }
 
-  /// The service-shard transport (the sole transport in legacy mode).
-  /// Server traffic counters always live here.
-  net::SimTransport& transport() noexcept { return *transport_; }
+  /// The service-shard transport. Server traffic counters live here.
+  net::SimTransport& transport() noexcept { return transport_for(kServerNode); }
 
-  /// The transport that owns `node`'s endpoints: its shard's transport in
-  /// sharded mode, the sole transport otherwise.
-  net::SimTransport& transport_for(NodeId node);
+  /// The transport that owns `node`'s endpoints: its shard's transport.
+  net::SimTransport& transport_for(NodeId node) noexcept {
+    return *transports_[topology_.shard_of(node)];
+  }
 
-  /// Mark a node down/up on its owning transport (works in both modes).
+  /// Mark a node down/up on its owning transport.
   void set_node_down(NodeId node, bool down) {
     transport_for(node).set_node_down(node, down);
   }
@@ -189,14 +193,16 @@ class Testbed {
 
   /// Traffic counters of the FOCUS server node.
   net::EndpointStats server_stats() const {
-    return transport_->stats().of(kServerNode);
+    return transports_[topology_.shard_of(kServerNode)]->stats().of(
+        kServerNode);
   }
 
   /// Run the structural audit over the service, kernel, and every live
-  /// gossip agent right now. In sharded mode, call only between run_for
-  /// calls (the barrier hook calls it with workers parked).
+  /// gossip agent right now. Call only between run_for calls (the barrier
+  /// hook calls it with workers parked).
   core::AuditReport audit() const {
-    core::AuditReport report = core::audit_service(*service_, simulator_);
+    core::AuditReport report =
+        core::audit_service(*service_, simulator_for(kServerNode));
     for (const auto& agent : agents_) {
       const SimTime agent_now = simulator_for(agent.node()).now();
       for (const auto& [attr, membership] : agent.p2p().memberships()) {
@@ -225,7 +231,7 @@ class Testbed {
   /// Cumulative metrics snapshot the recorder samples and the SLO evaluator
   /// reads: every obs metric (merged across worker threads) plus per-kind
   /// traffic totals re-published as net.<kind>.{msgs,bytes,payload_builds}
-  /// counters and, in sharded mode, per-shard scheduler telemetry
+  /// counters and per-shard scheduler telemetry
   /// (sharded.shard<i>.{windows,window_width_us,events} counters, and
   /// busy/stall/idle_us when wall profiling is on).
   obs::MetricSet telemetry_snapshot() const;
@@ -250,17 +256,11 @@ class Testbed {
   std::map<std::string, net::MsgKindStats> traffic_totals() const;
 
   TestbedConfig config_;
-  sim::Simulator simulator_;  ///< service kernel (sole kernel in legacy mode)
   net::Topology topology_;
-  /// Sharded mode only: the heap kernels for every shard except the service
-  /// shard, which reuses simulator_ (construction order is shard order, so
-  /// with no sub-shard splits these are the four data-region kernels).
-  std::vector<std::unique_ptr<sim::Simulator>> owned_sims_;
+  /// One kernel and one transport per shard, in shard order.
+  std::vector<std::unique_ptr<sim::Simulator>> sims_;
   std::unique_ptr<net::ShardStager> stager_;
-  std::unique_ptr<net::SimTransport> transport_;  ///< service-shard transport
-  std::vector<std::unique_ptr<net::SimTransport>> owned_transports_;
-  std::vector<sim::Simulator*> shard_sims_;           ///< all, shard order
-  std::vector<net::SimTransport*> shard_transports_;  ///< all, shard order
+  std::vector<std::unique_ptr<net::SimTransport>> transports_;
   /// Fleet-shared immutable agent state (memory compaction): one config and
   /// one resource walk plan for every node.
   std::shared_ptr<const agent::AgentConfig> agent_config_;
@@ -274,9 +274,8 @@ class Testbed {
   /// Declared after everything it drives so its destructor joins the worker
   /// threads before any shard state is torn down.
   std::unique_ptr<sim::ShardedSimulator> sharded_;
-  sim::TimerId audit_timer_ = 0;
   std::uint64_t audits_run_ = 0;
-  SimTime next_audit_ = 0;  ///< sharded mode: next barrier-audit due time
+  SimTime next_audit_ = 0;  ///< next barrier-audit due time (0 = off)
   std::string trace_path_;  ///< from FOCUS_TRACE; written at destruction
   /// Metric time-series (record_interval > 0). Sampled on the coordinator /
   /// caller thread only, with all shard workers parked.

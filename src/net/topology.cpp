@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/check.hpp"
+
 namespace focus::net {
 
 namespace {
@@ -48,6 +50,14 @@ void Topology::set_sub_shards(Region r, unsigned k) {
   }
   num_shards_ = base;
   rebuild_lookahead_cache();
+}
+
+void Topology::set_one_shard() {
+  for (const std::uint32_t k : sub_count_) {
+    FOCUS_CHECK_EQ(k, 1u) << "the one-shard layout cannot split a region";
+  }
+  shard_base_.fill(0);
+  num_shards_ = 1;
 }
 
 Duration Topology::base_latency(Region a, Region b) const {

@@ -96,8 +96,14 @@ class Topology {
     return sub_count_[static_cast<std::size_t>(r)];
   }
 
+  /// The one-shard layout: every region maps to shard 0, so one kernel hosts
+  /// the whole world. Requires that no region is split; a later
+  /// set_sub_shards call restores the region-major layout.
+  void set_one_shard();
+
   /// Total shard count: sum of sub-shard counts over all regions. 5 when
-  /// nothing is split (the PR7 one-kernel-per-region layout).
+  /// nothing is split (the PR7 one-kernel-per-region layout), 1 after
+  /// set_one_shard().
   std::size_t num_shards() const noexcept { return num_shards_; }
 
   /// First shard index of a region; a region's sub-shards are contiguous in
@@ -109,7 +115,8 @@ class Topology {
   /// Shard hosting `node`: region-major base plus a consistent sub-shard
   /// assignment by NodeId (splitmix-mixed hash mod K, so any id layout —
   /// dense, strided, or sparse — spreads evenly). With every region at one
-  /// sub-shard this is exactly the Region enum value, the PR7 layout.
+  /// sub-shard this is exactly the Region enum value, the PR7 layout; in the
+  /// one-shard layout it is always 0.
   std::size_t shard_of(NodeId node) const noexcept {
     const auto r = static_cast<std::size_t>(region_of(node));
     const std::uint32_t k = sub_count_[r];

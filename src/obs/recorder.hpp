@@ -10,13 +10,12 @@
 //
 // The Recorder itself never reads a clock and never touches thread-local
 // state: the harness hands it an aggregated MetricSet snapshot plus the
-// sim time of the sample (harness/testbed.cpp owns the sampling schedule —
-// chunked run_until in legacy mode, the window-barrier hook in sharded mode),
-// so recording is deterministic pure observation: digests are byte-identical
+// sim time of the sample (harness/testbed.cpp samples in the window-barrier
+// hook), so recording is deterministic pure observation: digests are byte-identical
 // with recording on or off, which tests/test_telemetry.cpp and the pinned
 // sharded goldens enforce.
 //
-// Sample times need not be uniform: sharded barriers quantize the cadence to
+// Sample times need not be uniform: barriers quantize the cadence to
 // window edges, so every interval stores its actual end time and rate
 // consumers (timeseries_json, the obs::slo evaluator) divide by the actual
 // width. Exports: obs::timeseries_json (export.hpp) and Perfetto counter

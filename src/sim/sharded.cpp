@@ -165,6 +165,10 @@ void ShardedSimulator::execute_round(SimTime target) {
 
 void ShardedSimulator::run_until(SimTime t) {
   FOCUS_CHECK_GE(t, now_) << "sharded time cannot run backwards";
+  for (const Simulator* shard : shards_) {
+    FOCUS_CHECK_EQ(shard->now(), now_)
+        << "a shard kernel was run outside the driver";
+  }
   while (now_ < t) {
     const SimTime target = std::min<SimTime>(now_ + window_, t);
     execute_round(target);
@@ -191,6 +195,7 @@ std::uint64_t ShardedSimulator::executed() const noexcept {
 }
 
 std::uint64_t ShardedSimulator::digest() const noexcept {
+  if (shards_.size() == 1) return shards_.front()->digest();
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
   for (const Simulator* shard : shards_) {
     std::uint64_t d = shard->digest();

@@ -59,7 +59,8 @@ class ShardedSimulator {
   void set_barrier_hook(BarrierHook hook) { hook_ = std::move(hook); }
 
   /// Advance every shard to exactly `t`, one window at a time, invoking the
-  /// barrier hook after each window commits.
+  /// barrier hook after each window commits. FOCUS_CHECKs that no shard
+  /// kernel was run on its own since the last barrier.
   void run_until(SimTime t);
   void run_for(Duration d) { run_until(now_ + d); }
 
@@ -125,10 +126,12 @@ class ShardedSimulator {
     return profiles_;
   }
 
-  /// Order-sensitive FNV-1a fold of the per-shard digests, in shard order.
-  /// Byte-identical across worker-thread counts for the same seed; the
-  /// determinism ctest (tests/test_sharded.cpp) enforces this. Barrier-time
-  /// only (between run_until calls or inside the barrier hook).
+  /// Order-sensitive FNV-1a fold of the per-shard digests, in shard order;
+  /// with one shard, that shard's own digest, so a one-shard world keeps
+  /// the single-kernel digests. Byte-identical across worker-thread counts
+  /// for the same seed; the determinism ctest (tests/test_sharded.cpp)
+  /// enforces this. Barrier-time only (between run_until calls or inside the
+  /// barrier hook).
   std::uint64_t digest() const noexcept;
 
  private:

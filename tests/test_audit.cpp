@@ -8,6 +8,7 @@
 #include "common/check.hpp"
 #include "focus/audit.hpp"
 #include "harness/testbed.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 
 namespace focus {
@@ -51,6 +52,26 @@ TEST(CheckDeathTest, SimulatorRejectsNonPositiveInterval) {
   EXPECT_DEATH({ simulator.every(0, [] {}); }, "interval > 0");
   EXPECT_DEATH({ simulator.every(-5, [] {}); }, "interval > 0");
   EXPECT_DEATH({ simulator.schedule_after(-1, [] {}); }, "delay >= 0");
+}
+
+TEST(CheckDeathTest, TestbedRejectsSubShardsWithoutShards) {
+  // A sub-shard split with shards == 0 used to run the one-kernel world
+  // silently while the caller believed it had split regions.
+  harness::TestbedConfig config;
+  config.num_nodes = 4;
+  config.data_sub_shards = 2;
+  EXPECT_DEATH({ harness::Testbed bed(config); }, "sub-shard splits need");
+  config.data_sub_shards = 1;
+  config.edge_sub_shards = 2;
+  EXPECT_DEATH({ harness::Testbed bed(config); }, "sub-shard splits need");
+}
+
+TEST(CheckDeathTest, ShardedDriverRejectsAShardRunOutsideIt) {
+  sim::Simulator kernel;
+  sim::ShardedSimulator driver({&kernel}, /*window=*/1000);
+  driver.run_until(2000);
+  kernel.run_until(5000);  // the driver's clock is now stale
+  EXPECT_DEATH({ driver.run_until(3000); }, "run outside the driver");
 }
 
 #ifdef NDEBUG
@@ -218,6 +239,11 @@ DigestRun run_scenario(std::uint64_t seed) {
   EXPECT_TRUE(result.ok());
 
   bed.run_for(20 * kSecond);
+  // shards == 0 is the one-shard layout of the sharded driver, and its
+  // digest is the sole kernel's: the identity that keeps every pinned
+  // single-kernel digest valid.
+  EXPECT_EQ(bed.sharded()->num_shards(), 1u);
+  EXPECT_EQ(bed.digest(), bed.simulator().digest());
   DigestRun out;
   out.digest = bed.simulator().digest();
   out.executed = bed.simulator().executed();

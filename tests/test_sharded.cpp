@@ -241,6 +241,14 @@ TEST(SubShardLayout, UnsplitLayoutIsTheRegionEnum) {
   EXPECT_EQ(topology.region_of(NodeId{123456}), Region::AppEdge);
   EXPECT_EQ(topology.shard_of(NodeId{123456}),
             static_cast<std::size_t>(Region::AppEdge));
+  // The one-shard layout folds every region onto shard 0 and keeps the
+  // unsplit window bound.
+  const Duration window = topology.sharded_lookahead_floor();
+  topology.set_one_shard();
+  EXPECT_EQ(topology.num_shards(), 1u);
+  EXPECT_EQ(topology.shard_of(NodeId{7}), 0u);
+  EXPECT_EQ(topology.shard_of(NodeId{123456}), 0u);
+  EXPECT_EQ(topology.sharded_lookahead_floor(), window);
 }
 
 TEST(SubShardLayout, SplitRegionsGetContiguousRegionMajorBases) {
@@ -353,10 +361,10 @@ TEST(ShardedDeterminism, DifferentSeedsDiverge) {
 // Golden replay for the sharded world, the analogue of
 // Determinism.ChurnScenarioMatchesGoldenDigest in test_audit.cpp: the
 // sharded event schedule is part of observable behavior. Digests here differ
-// from the legacy golden by design (five kernels, a different rng fork
+// from the one-shard golden by design (five kernels, a different rng fork
 // layout) but must be stable across commits and worker counts. Regenerate
 // with run_sharded_scenario(42, 1) when an intentional kernel or protocol
-// change moves them; like the legacy golden, the values are pinned for the
+// change moves them; like the one-shard golden, the values are pinned for the
 // CI toolchain (libstdc++).
 TEST(ShardedDeterminism, ChurnScenarioMatchesGoldenDigest) {
   const ShardedRun run = run_sharded_scenario(42, 1);

@@ -1,8 +1,8 @@
 // Continuous telemetry: Recorder delta encoding, FixedHistogram interval
 // deltas, the declarative SLO engine (parse + evaluate), and the harness
 // wiring. The observation-only contract — recording and wall profiling must
-// not perturb digests — is enforced here for the legacy kernel and in
-// tests/test_sharded.cpp (suite ShardedTelemetry) for the parallel driver,
+// not perturb digests — is enforced here for the one-shard world and in
+// tests/test_sharded.cpp (suite ShardedTelemetry) for region-sharded ones,
 // whose multi-worker runs also ride the TSan CI pre-step.
 
 #include <gtest/gtest.h>
@@ -435,7 +435,7 @@ TEST(SloEvaluate, IntervalScopeFlagsTheFirstViolatingInterval) {
 }
 
 // ---------------------------------------------------------------------------
-// Harness wiring: recording must be digest-neutral on the legacy kernel, and
+// Harness wiring: recording must be digest-neutral on the one-shard world, and
 // check_slos() must evaluate the configured spec against live telemetry.
 
 struct LegacyRun {
@@ -529,13 +529,15 @@ TEST(HarnessTelemetry, CheckSlosEvaluatesTheConfiguredSpec) {
 // multiple worker counts).
 
 TEST(ShardedTelemetry, BusyStallIdleSumsToWallPerShard) {
-  for (unsigned threads : {1u, 2u, 4u}) {
+  // shards == 0 is the one-shard layout: one profile, same accounting.
+  for (unsigned threads : {0u, 1u, 2u, 4u}) {
     harness::TestbedConfig config;
     config.num_nodes = 25;
     config.seed = 42;
     config.shards = threads;
-    config.data_sub_shards = 2;
-    config.edge_sub_shards = 2;
+    const unsigned split = threads == 0 ? 1 : 2;
+    config.data_sub_shards = split;
+    config.edge_sub_shards = split;
     config.wall_profiling = true;
     harness::Testbed bed(config);
     bed.start();
@@ -543,7 +545,7 @@ TEST(ShardedTelemetry, BusyStallIdleSumsToWallPerShard) {
     bed.run_for(5 * kSecond);
     ASSERT_NE(bed.sharded(), nullptr);
     const auto& profiles = bed.sharded()->shard_profiles();
-    ASSERT_FALSE(profiles.empty());
+    ASSERT_EQ(profiles.size(), threads == 0 ? 1u : 10u);
     for (const auto& p : profiles) {
       // Exact accounting: every shard runs every lock-step window, so each
       // round's wall time splits into busy and stall and the parts always
