@@ -33,8 +33,7 @@ Outcome run(Duration freshness) {
     q.freshness = freshness;
     return q;
   };
-  const auto load = harness::run_query_load(bed.simulator(), bed.transport(),
-                                            finder, gen, /*qps=*/4.0,
+  const auto load = harness::run_query_load(bed, finder, gen, /*qps=*/4.0,
                                             /*warmup=*/3 * kSecond,
                                             /*window=*/30 * kSecond, /*seed=*/8);
   Outcome out;

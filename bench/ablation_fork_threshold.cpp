@@ -29,8 +29,7 @@ Outcome run(int threshold) {
 
   harness::FocusFinder finder(bed);
   const auto gen = [](Rng& rng) { return harness::make_placement_query(rng, 50); };
-  const auto load = harness::run_query_load(bed.simulator(), bed.transport(),
-                                            finder, gen, /*qps=*/2.0,
+  const auto load = harness::run_query_load(bed, finder, gen, /*qps=*/2.0,
                                             /*warmup=*/3 * kSecond,
                                             /*window=*/20 * kSecond, /*seed=*/4);
   Outcome out;

@@ -41,8 +41,7 @@ Outcome run(bool route_all_terms, std::size_t nodes) {
     q.limit = 20;
     return q;
   };
-  const auto load = harness::run_query_load(bed.simulator(), bed.transport(),
-                                            finder, gen, /*qps=*/1.0,
+  const auto load = harness::run_query_load(bed, finder, gen, /*qps=*/1.0,
                                             /*warmup=*/3 * kSecond,
                                             /*window=*/30 * kSecond, /*seed=*/3);
 

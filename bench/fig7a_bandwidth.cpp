@@ -27,8 +27,11 @@ constexpr double kQps = 1.0;
 constexpr Duration kWarmup = 5 * kSecond;
 constexpr Duration kWindow = 30 * kSecond;
 
-harness::QueryGen placement_gen() {
-  return [](Rng& rng) { return harness::make_placement_query(rng, 50); };
+/// Server bandwidth of `finder` under the 1 qps placement load on `world`.
+double measure(harness::SimWorld& world, baselines::NodeFinder& finder) {
+  const auto gen = [](Rng& rng) { return harness::make_placement_query(rng, 50); };
+  return harness::run_query_load(world, finder, gen, kQps, kWarmup, kWindow, /*seed=*/7)
+      .server_kbps();
 }
 
 double measure_focus(std::size_t nodes) {
@@ -39,23 +42,14 @@ double measure_focus(std::size_t nodes) {
   bed.start();
   bed.settle(30 * kSecond);
   harness::FocusFinder finder(bed);
-  return harness::run_query_load(bed.simulator(), bed.transport(), finder,
-                                 placement_gen(), kQps, kWarmup, kWindow,
-                                 /*seed=*/7)
-      .server_kbps();
+  return measure(bed, finder);
 }
 
 template <typename MakeFinder>
 double measure_baseline(std::size_t nodes, MakeFinder make_finder) {
-  harness::WorldConfig config;
-  config.num_nodes = nodes;
-  config.seed = 70 + nodes;
-  harness::World world(config);
+  harness::World world({.num_nodes = nodes, .seed = 70 + nodes});
   auto finder = make_finder(world);
-  return harness::run_query_load(world.simulator(), world.transport(), *finder,
-                                 placement_gen(), kQps, kWarmup, kWindow,
-                                 /*seed=*/7)
-      .server_kbps();
+  return measure(world, *finder);
 }
 
 }  // namespace

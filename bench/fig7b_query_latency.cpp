@@ -19,15 +19,19 @@ constexpr double kQps = 40.0;
 constexpr Duration kWarmup = 2 * kSecond;
 constexpr Duration kWindow = 10 * kSecond;
 
-harness::QueryGen placement_gen() {
-  return [](Rng& rng) { return harness::make_placement_query(rng, 50); };
-}
-
 struct Point {
   double mean_ms;
   double p99_ms;
   std::uint64_t completed;
 };
+
+/// Latency of `finder` under the 40 qps placement load on `world`.
+Point measure(harness::SimWorld& world, baselines::NodeFinder& finder) {
+  const auto gen = [](Rng& rng) { return harness::make_placement_query(rng, 50); };
+  const auto load =
+      harness::run_query_load(world, finder, gen, kQps, kWarmup, kWindow, /*seed=*/9);
+  return {load.latency_ms.mean(), load.latency_ms.percentile(99), load.completed};
+}
 
 Point measure_focus(std::size_t nodes) {
   harness::TestbedConfig config;
@@ -37,35 +41,26 @@ Point measure_focus(std::size_t nodes) {
   bed.start();
   bed.settle(30 * kSecond);
   harness::FocusFinder finder(bed);
-  auto load = harness::run_query_load(bed.simulator(), bed.transport(), finder,
-                                      placement_gen(), kQps, kWarmup, kWindow,
-                                      /*seed=*/9);
-  return {load.latency_ms.mean(), load.latency_ms.percentile(99), load.completed};
+  return measure(bed, finder);
 }
 
 Point measure_rabbitmq(std::size_t nodes) {
   // Paper setup: the RabbitMQ deployment is single-region (one EC2 region),
   // dedicated broker, no background consumers.
-  harness::WorldConfig config;
-  config.num_nodes = nodes;
-  config.seed = 700 + nodes;
-  harness::World world(config);
+  harness::World world({.num_nodes = nodes, .seed = 700 + nodes});
   // Single-region placement for the MQ comparison.
   for (std::size_t i = 0; i < nodes; ++i) {
-    world.transport().topology().place(
+    world.topology().place(
         NodeId{harness::kAgentBase + static_cast<std::uint32_t>(i)}, Region::Ohio);
   }
-  world.transport().topology().place(world.server_node(), Region::Ohio);
+  world.topology().place(world.server_node(), Region::Ohio);
   mq::CostModel dedicated;
   dedicated.baseline_utilization = 0.05;  // no 100-consumer background load
   baselines::MqSubFinder finder(world.simulator(), world.transport(),
                                 world.server_node(), world.server_node(),
                                 world.sim_nodes(), baselines::BaselineConfig{},
                                 Rng(1), dedicated);
-  auto load = harness::run_query_load(world.simulator(), world.transport(),
-                                      finder, placement_gen(), kQps, kWarmup,
-                                      kWindow, /*seed=*/9);
-  return {load.latency_ms.mean(), load.latency_ms.percentile(99), load.completed};
+  return measure(world, finder);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "bench_util.hpp"
 #include "harness/scenario.hpp"
-#include "trace/replayer.hpp"
 
 using namespace focus;
 
@@ -32,11 +31,11 @@ Point run_point(std::size_t nodes, const std::vector<trace::PlacementEvent>& tr)
   bed.settle(30 * kSecond);
 
   harness::FocusFinder finder(bed);
-  trace::ReplayConfig replay;
+  harness::ReplayConfig replay;
   replay.acceleration = 15000.0;
   replay.max_events = 1000;  // a contiguous slice of the 75k-event trace
   replay.drain = 10 * kSecond;
-  const auto result = trace::replay_trace(bed.simulator(), tr, finder, replay);
+  const auto result = harness::replay_trace(bed, tr, finder, replay);
 
   Point point;
   point.p50 = result.latency_ms.percentile(50);

@@ -8,7 +8,6 @@
 
 #include "bench_util.hpp"
 #include "harness/scenario.hpp"
-#include "trace/replayer.hpp"
 
 using namespace focus;
 
@@ -30,17 +29,16 @@ Point run_point(std::size_t nodes, const std::vector<trace::PlacementEvent>& tr)
 
   harness::FocusFinder finder(bed);
   const double busy0 = bed.service().busy_cpu_us();
-  const SimTime t0 = bed.simulator().now();
+  const SimTime t0 = bed.now();
 
-  trace::ReplayConfig replay;
+  harness::ReplayConfig replay;
   replay.acceleration = 15000.0;
   replay.max_events = 500;
   replay.drain = 5 * kSecond;
-  trace::replay_trace(bed.simulator(), tr, finder, replay);
+  harness::replay_trace(bed, tr, finder, replay);
 
   Point point;
-  point.cpu_pct =
-      100.0 * bed.service().utilization(busy0, bed.simulator().now() - t0);
+  point.cpu_pct = 100.0 * bed.service().utilization(busy0, bed.now() - t0);
   point.ram_gb = bed.service().ram_gb();
   point.groups = bed.service().dgm().group_count();
   return point;

@@ -48,6 +48,10 @@ class NodeFinder {
   /// The node whose traffic counts as "the query server" (Fig. 7a).
   virtual NodeId server_node() const = 0;
 
+  /// The node holding the finder's request-side state: find() must be
+  /// called from its kernel. Baselines keep that state on their server.
+  virtual NodeId home_node() const { return server_node(); }
+
   /// Human-readable system name for reports.
   virtual std::string name() const = 0;
 };

@@ -1,6 +1,9 @@
 #include "harness/scenario.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
+#include "openstack/placement.hpp"
 
 namespace focus::harness {
 
@@ -13,25 +16,43 @@ const obs::MetricId kLoadCompleted =
 const obs::MetricId kLoadFailed = obs::MetricId::counter("load.queries_failed");
 const obs::MetricId kLoadLatency =
     obs::MetricId::histogram("load.query_latency_us");
+
+/// Issue `query` through `finder` on `kernel` (the finder's home kernel) and
+/// record its outcome in `result` when the callback fires.
+void issue_query(baselines::NodeFinder& finder, const sim::Simulator& kernel,
+                 const core::Query& query, const std::shared_ptr<LoadResult>& result) {
+  ++result->issued;
+  obs::metrics().add(kLoadIssued, 1);
+  const SimTime issued_at = kernel.now();
+  finder.find(query, [result, issued_at, &kernel](Result<core::QueryResult> r) {
+    ++result->completed;
+    obs::metrics().add(kLoadCompleted, 1);
+    if (!r.ok()) {
+      ++result->failed;
+      obs::metrics().add(kLoadFailed, 1);
+      return;
+    }
+    if (r.value().entries.empty()) ++result->empty_results;
+    const SimTime latency = kernel.now() - issued_at;
+    result->latency_ms.add(to_millis(latency));
+    obs::metrics().observe(kLoadLatency, static_cast<double>(latency));
+  });
+}
 }  // namespace
 
-World::World(WorldConfig config) : config_(std::move(config)) {
-  Rng rng(config_.seed);
-  transport_ = std::make_unique<net::SimTransport>(simulator_, topology_, rng.fork());
-  topology_.place(kServerNode, Region::AppEdge);
-  topology_.place(kBrokerNode, Region::AppEdge);
-  topology_.place(kAppNode, Region::AppEdge);
-
+World::World(WorldConfig config)
+    : SimWorld(config.seed, Layout{}, /*loss_rate=*/0), config_(std::move(config)) {
   models_.reserve(config_.num_nodes);
   for (std::size_t i = 0; i < config_.num_nodes; ++i) {
     const NodeId id{kAgentBase + static_cast<std::uint32_t>(i)};
     const Region region = region_of_index(i);
-    topology_.place(id, region);
+    topology().place(id, region);
     models_.push_back(std::make_unique<agent::ResourceModel>(
-        config_.schema, id, region, rng.fork(), config_.dynamics));
+        config_.schema, id, region, rng().fork(), config_.dynamics));
   }
-  step_timer_ = simulator_.every(config_.model_step, [this] {
-    const SimTime now = simulator_.now();
+  sim::Simulator& kernel = simulator();
+  kernel.every(config_.model_step, [this, &kernel] {
+    const SimTime now = kernel.now();
     for (auto& model : models_) model->step(now);
   });
 }
@@ -53,7 +74,7 @@ std::vector<baselines::ManagerNode> World::managers(int count) {
   for (int i = 0; i < count; ++i) {
     const NodeId id{kManagerBase + static_cast<std::uint32_t>(i)};
     const Region region = region_of_index(static_cast<std::size_t>(i));
-    topology_.place(id, region);
+    topology().place(id, region);
     out.push_back(baselines::ManagerNode{id, region});
   }
   return out;
@@ -84,47 +105,54 @@ core::Query make_placement_query(Rng& rng, int limit) {
   return query;
 }
 
-LoadResult run_query_load(sim::Simulator& simulator, net::SimTransport& transport,
-                          baselines::NodeFinder& finder, const QueryGen& gen,
-                          double qps, Duration warmup, Duration window,
-                          std::uint64_t seed) {
+LoadResult run_query_load(SimWorld& world, baselines::NodeFinder& finder,
+                          const QueryGen& gen, double qps, Duration warmup,
+                          Duration window, std::uint64_t seed) {
   auto result = std::make_shared<LoadResult>();
   auto rng = std::make_shared<Rng>(seed);
   const auto interval = static_cast<Duration>(1e6 / qps);
+  sim::Simulator& kernel = world.simulator_for(finder.home_node());
+  const NodeId server = finder.server_node();
+  net::SimTransport& server_transport = world.transport_for(server);
 
-  simulator.run_for(warmup);
-  const net::EndpointStats start_stats = transport.stats().of(finder.server_node());
-  const SimTime window_start = simulator.now();
-  const SimTime window_end = window_start + window;
-
-  const sim::TimerId timer = simulator.every(interval, [&finder, gen, result, rng,
-                                                        &simulator] {
-    const core::Query query = gen(*rng);
-    ++result->issued;
-    obs::metrics().add(kLoadIssued, 1);
-    const SimTime issued_at = simulator.now();
-    finder.find(query, [result, issued_at, &simulator](Result<core::QueryResult> r) {
-      ++result->completed;
-      obs::metrics().add(kLoadCompleted, 1);
-      if (!r.ok()) {
-        ++result->failed;
-        obs::metrics().add(kLoadFailed, 1);
-        return;
-      }
-      const SimTime latency = simulator.now() - issued_at;
-      result->latency_ms.add(to_millis(latency));
-      obs::metrics().observe(kLoadLatency, static_cast<double>(latency));
-    });
+  world.run_for(warmup);
+  const net::EndpointStats start_stats = server_transport.stats().of(server);
+  const SimTime window_end = world.now() + window;
+  const sim::TimerId timer = kernel.every(interval, [&finder, &kernel, gen, result, rng] {
+    issue_query(finder, kernel, gen(*rng), result);
   });
-
-  simulator.run_until(window_end);
-  simulator.cancel(timer);
-  result->server_delta =
-      transport.stats().of(finder.server_node()) - start_stats;
+  world.run_until(window_end);
+  kernel.cancel(timer);
+  result->server_delta = server_transport.stats().of(server) - start_stats;
   result->window = window;
   // Drain in-flight queries so latency tails are captured (drain traffic is
   // excluded from the bandwidth window, matching a fixed measurement port).
-  simulator.run_for(5 * kSecond);
+  world.run_for(5 * kSecond);
+  return *result;
+}
+
+LoadResult replay_trace(SimWorld& world, const std::vector<trace::PlacementEvent>& trace,
+                        baselines::NodeFinder& finder, const ReplayConfig& config) {
+  auto result = std::make_shared<LoadResult>();
+  const std::size_t count = config.max_events == 0
+                                ? trace.size()
+                                : std::min(config.max_events, trace.size());
+  if (count == 0) return *result;
+
+  sim::Simulator& kernel = world.simulator_for(finder.home_node());
+  const SimTime base = world.now();
+  SimTime last_at = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const trace::PlacementEvent& event = trace[i];
+    const auto offset =
+        static_cast<SimTime>(static_cast<double>(event.at) / config.acceleration);
+    last_at = base + offset;
+    kernel.schedule_at(last_at, [&finder, &kernel, &event, result] {
+      issue_query(finder, kernel, openstack::to_query(event.request), result);
+    });
+  }
+  world.run_until(last_at + config.drain);
+  result->window = world.now() - base;
   return *result;
 }
 

@@ -1,12 +1,12 @@
 #pragma once
-// Scenario helpers shared by benches and tests:
-//  * World        — a simulator + transport + live resource models, the
-//                   substrate baselines run on (no finding system attached).
-//  * FocusFinder  — adapter presenting a FOCUS Testbed through the common
-//                   NodeFinder interface so every system runs one loop.
-//  * run_query_load — drive a NodeFinder at a fixed query rate over a
-//                   measurement window, recording latency and the server's
-//                   bandwidth (the Fig. 7a/7b methodology).
+// Scenario helpers shared by benches and tests. Both worlds are
+// harness::SimWorlds (harness/sim_world.hpp), so they share one clock:
+//  * World        — the baseline fleet: live resource models, no finding
+//                   system attached.
+//  * Testbed      — the FOCUS deployment (harness/testbed.hpp), presented
+//                   by FocusFinder through the common NodeFinder interface.
+//  * run_query_load / replay_trace — drive a NodeFinder on either world at
+//                   a fixed rate (Fig. 7a/7b) or along a trace (Fig. 7c/8a).
 //  * make_placement_query — the placement-style query mix used across the
 //                   evaluation.
 
@@ -18,6 +18,7 @@
 #include "baselines/node_finder.hpp"
 #include "common/histogram.hpp"
 #include "harness/testbed.hpp"
+#include "trace/chameleon.hpp"
 
 namespace focus::harness {
 
@@ -31,13 +32,11 @@ struct WorldConfig {
 };
 
 /// A geo-distributed fleet of simulated nodes with live resource values and
-/// no node-finding system attached. Baselines are constructed on top.
-class World {
+/// no node-finding system attached, on the one-shard layout. Baselines are
+/// constructed on top.
+class World : public SimWorld {
  public:
   explicit World(WorldConfig config);
-
-  sim::Simulator& simulator() noexcept { return simulator_; }
-  net::SimTransport& transport() noexcept { return *transport_; }
 
   /// The fleet view baselines consume.
   std::vector<baselines::SimNode> sim_nodes();
@@ -51,12 +50,8 @@ class World {
   agent::ResourceModel& model(std::size_t i) { return *models_.at(i); }
 
  private:
-  WorldConfig config_;
-  sim::Simulator simulator_;
-  net::Topology topology_;
-  std::unique_ptr<net::SimTransport> transport_;
+  WorldConfig config_;  ///< models hold references into its schema
   std::vector<std::unique_ptr<agent::ResourceModel>> models_;
-  sim::TimerId step_timer_ = 0;
 };
 
 /// Adapter: a FOCUS deployment as a NodeFinder.
@@ -68,18 +63,21 @@ class FocusFinder final : public baselines::NodeFinder {
     testbed_.client().query(query, std::move(cb));
   }
   NodeId server_node() const override { return kServerNode; }
+  /// The app client issues queries from kAppNode's kernel.
+  NodeId home_node() const override { return kAppNode; }
   std::string name() const override { return "focus"; }
 
  private:
   Testbed& testbed_;
 };
 
-/// Query-load measurement outcome.
+/// Outcome of a query load or a trace replay.
 struct LoadResult {
-  Histogram latency_ms;
+  Histogram latency_ms;  ///< successful queries only
   std::uint64_t issued = 0;
-  std::uint64_t completed = 0;
+  std::uint64_t completed = 0;  ///< callbacks fired, failures included
   std::uint64_t failed = 0;
+  std::uint64_t empty_results = 0;  ///< successful answers with no entry
   net::EndpointStats server_delta;  ///< server traffic during the window
   Duration window = 0;
 
@@ -91,6 +89,13 @@ struct LoadResult {
   }
 };
 
+/// Trace-replay parameters (§X-C).
+struct ReplayConfig {
+  double acceleration = 15'000.0;  ///< trace time compression factor
+  std::size_t max_events = 0;      ///< 0 = all events
+  Duration drain = 5 * kSecond;    ///< extra simulated time to let responses land
+};
+
 /// A query generator draws the next query (seeded, deterministic).
 using QueryGen = std::function<core::Query(Rng&)>;
 
@@ -100,10 +105,18 @@ using QueryGen = std::function<core::Query(Rng&)>;
 core::Query make_placement_query(Rng& rng, int limit = 50);
 
 /// Drive `finder` at `qps` for `window` (after `warmup`), measuring latency
-/// and the traffic delta at `finder.server_node()`.
-LoadResult run_query_load(sim::Simulator& simulator, net::SimTransport& transport,
-                          baselines::NodeFinder& finder, const QueryGen& gen,
-                          double qps, Duration warmup, Duration window,
-                          std::uint64_t seed);
+/// and the traffic delta at `finder.server_node()`, then drain 5 s so
+/// latency tails land. Queries are issued on the kernel of
+/// `finder.home_node()`; time advances through `world`'s driver.
+LoadResult run_query_load(SimWorld& world, baselines::NodeFinder& finder,
+                          const QueryGen& gen, double qps, Duration warmup,
+                          Duration window, std::uint64_t seed);
+
+/// Replay every event of `trace` (up to config.max_events) against `finder`,
+/// issuing each at trace-time / acceleration on the kernel of
+/// `finder.home_node()`, and run `world` until the last issue plus
+/// config.drain; the result's window is the whole replay span.
+LoadResult replay_trace(SimWorld& world, const std::vector<trace::PlacementEvent>& trace,
+                        baselines::NodeFinder& finder, const ReplayConfig& config);
 
 }  // namespace focus::harness

@@ -13,15 +13,6 @@
 
 namespace focus::harness {
 
-Region region_of_index(std::size_t i) {
-  switch (i % 4) {
-    case 0: return Region::Ohio;
-    case 1: return Region::Canada;
-    case 2: return Region::Oregon;
-    default: return Region::California;
-  }
-}
-
 void TestbedConfig::sync_agent_config() {
   agent.gossip = service.gossip;
   agent.report_interval = service.report_interval;
@@ -29,7 +20,11 @@ void TestbedConfig::sync_agent_config() {
   agent.full_report_interval = service.full_report_interval;
 }
 
-Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
+Testbed::Testbed(TestbedConfig config)
+    : SimWorld(config.seed,
+               {config.shards, config.data_sub_shards, config.edge_sub_shards},
+               config.loss_rate),
+      config_(std::move(config)) {
   // Fresh observability state per world (tests and benches build many
   // testbeds per process). FOCUS_TRACE=path turns span recording on before
   // the reset; reset() clears buffers but keeps the enabled flag.
@@ -61,52 +56,13 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
   }
 
   config_.sync_agent_config();
-  Rng rng(config_.seed);
-
-  // Placement before any shard lookup; place() never draws randomness.
-  topology_.place(kServerNode, Region::AppEdge);
-  topology_.place(kAppNode, Region::AppEdge);
-  topology_.place(kBrokerNode, Region::AppEdge);
-
-  // The shard layout is workload config: fix it before any shard index is
-  // computed so Topology::shard_of is stable for the world's lifetime.
-  if (config_.shards == 0) {
-    FOCUS_CHECK(config_.data_sub_shards <= 1 && config_.edge_sub_shards <= 1)
-        << "sub-shard splits need shards >= 1; shards == 0 is the one-shard "
-           "layout";
-    topology_.set_one_shard();
-  } else {
-    for (std::size_t r = 0; r < kNumDataRegions; ++r) {
-      topology_.set_sub_shards(static_cast<Region>(r), config_.data_sub_shards);
-    }
-    topology_.set_sub_shards(Region::AppEdge, config_.edge_sub_shards);
-  }
-  const std::size_t num_shards = topology_.num_shards();
-  stager_ = std::make_unique<net::ShardStager>(num_shards);
-  // Kernels and transports in shard order. Transports fork the seed rng in
-  // shard order — with no sub-shard splits that is the four data regions
-  // first and the app edge last, the PR7 fork layout; the one-shard layout
-  // forks once, like the historical single-kernel world — so every pinned
-  // digest is untouched.
-  std::vector<sim::Simulator*> kernels;
-  std::vector<net::SimTransport*> targets;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    sims_.push_back(std::make_unique<sim::Simulator>());
-    transports_.push_back(
-        std::make_unique<net::SimTransport>(*sims_.back(), topology_, rng.fork()));
-    transports_.back()->set_loss_rate(config_.loss_rate);
-    transports_.back()->enable_sharding(s, stager_.get());
-    kernels.push_back(sims_.back().get());
-    targets.push_back(transports_.back().get());
-  }
-
   store_ = std::make_unique<store::Cluster>(simulator(), config_.store,
-                                           rng.fork().next_u64());
+                                           rng().fork().next_u64());
   service_ = std::make_unique<core::Service>(simulator(), transport(),
                                              *store_, kServerNode,
                                              config_.service,
                                              core::ServerCostModel{},
-                                             rng.fork().next_u64());
+                                             rng().fork().next_u64());
   // The app client lives on kAppNode's own shard (an edge sub-shard when the
   // app edge is split); with no splits that is the service shard.
   client_ = std::make_unique<core::Client>(
@@ -121,18 +77,13 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
   for (std::size_t i = 0; i < config_.num_nodes; ++i) {
     const NodeId id{kAgentBase + static_cast<std::uint32_t>(i)};
     const Region region = region_of_index(i);
-    topology_.place(id, region);
+    topology().place(id, region);
     agents_.emplace_back(simulator_for(id), transport_for(id), id, region,
                          service_->south_addr(), config_.service.schema,
-                         agent_config_, rng.fork(), step_plan_);
+                         agent_config_, rng().fork(), step_plan_);
   }
 
-  // Window bound for the configured layout: the cross-region floor, or a
-  // split region's intra-region floor when that is tighter.
-  sharded_ = std::make_unique<sim::ShardedSimulator>(
-      std::move(kernels), topology_.sharded_lookahead_floor(), config_.shards);
-  sharded_->set_barrier_hook([this, targets = std::move(targets)](SimTime t) {
-    stager_->merge_at_barrier(t, targets);
+  set_barrier_callback([this](SimTime t) {
     if (next_audit_ > 0 && t >= next_audit_) {
       ++audits_run_;
       const core::AuditReport report = audit();
@@ -143,11 +94,11 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
       next_audit_ = t + config_.audit_interval;
     }
     // Telemetry sampling rides the same barrier: workers are parked, so
-    // aggregated_metrics() is quiescent. Windows quantize the cadence —
-    // the recorder stores actual interval ends, so rates stay exact.
+    // aggregated_metrics() is quiescent. Windows quantize the cadence — the
+    // recorder stores actual interval ends, so rates stay exact.
     if (recorder_ && t >= recorder_->next_due()) sample_telemetry(t);
   });
-  sharded_->set_wall_profiling(config_.wall_profiling);
+  sharded()->set_wall_profiling(config_.wall_profiling);
   next_audit_ = config_.audit_interval;
 }
 
@@ -169,11 +120,6 @@ Testbed::~Testbed() {
   }
 }
 
-void Testbed::run_for(Duration d) {
-  // Audits and sampling happen in the barrier hook (workers parked).
-  sharded_->run_for(d);
-}
-
 void Testbed::write_trace(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
@@ -181,22 +127,6 @@ void Testbed::write_trace(const std::string& path) const {
     return;
   }
   out << obs::chrome_trace_json(obs::tracer(), recorder_.get());
-}
-
-std::map<std::string, net::MsgKindStats> Testbed::traffic_totals() const {
-  // Sum the per-kind traffic tables over every shard's transport; std::map
-  // keeps the kind order stable.
-  std::map<std::string, net::MsgKindStats> totals;
-  for (const auto& t : transports_) {
-    t->stats().for_each_kind(
-        [&totals](std::string_view kind, const net::MsgKindStats& s) {
-          net::MsgKindStats& agg = totals[std::string(kind)];
-          agg.msgs += s.msgs;
-          agg.payload_builds += s.payload_builds;
-          agg.bytes += s.bytes;
-        });
-  }
-  return totals;
 }
 
 obs::MetricSet Testbed::telemetry_snapshot() const {
@@ -214,17 +144,18 @@ obs::MetricSet Testbed::telemetry_snapshot() const {
     snap.add(obs::MetricId::counter(prefix + ".payload_builds"),
              static_cast<double>(s.payload_builds));
   }
-  for (std::size_t i = 0; i < sharded_->num_shards(); ++i) {
+  const sim::ShardedSimulator& driver = *sharded();
+  for (std::size_t i = 0; i < driver.num_shards(); ++i) {
     const std::string prefix = "sharded.shard" + std::to_string(i);
     snap.add(obs::MetricId::counter(prefix + ".windows"),
-             static_cast<double>(sharded_->shard_windows(i)));
+             static_cast<double>(driver.shard_windows(i)));
     snap.add(obs::MetricId::counter(prefix + ".window_width_us"),
-             static_cast<double>(sharded_->shard_window_width(i)));
+             static_cast<double>(driver.shard_window_width(i)));
     snap.add(obs::MetricId::counter(prefix + ".events"),
-             static_cast<double>(sharded_->shard(i).executed()));
-    if (sharded_->wall_profiling()) {
+             static_cast<double>(driver.shard(i).executed()));
+    if (driver.wall_profiling()) {
       const sim::ShardedSimulator::ShardProfile& p =
-          sharded_->shard_profiles()[i];
+          driver.shard_profiles()[i];
       snap.add(obs::MetricId::counter(prefix + ".busy_us"),
                static_cast<double>(p.busy_ns) / 1000.0);
       snap.add(obs::MetricId::counter(prefix + ".stall_us"),

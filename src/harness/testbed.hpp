@@ -1,59 +1,27 @@
 #pragma once
-// Testbed: builds a complete FOCUS deployment on the simulator — the service
-// (with its data store), N node agents spread over the paper's four regions,
-// and an application client at the app edge. Shared by integration tests,
-// benches and examples.
-//
-// One execution path: one kernel + transport per shard, driven by
-// sim::ShardedSimulator in conservative windows with cross-shard traffic
-// staged through net::ShardStager. The shard layout is fixed by config and
-// NodeId (Topology::shard_of):
-//  - shards == 0: the one-shard layout — one kernel and one transport for
-//    the whole world, the single-threaded world whose event digests are
-//    pinned in tests/benches.
-//  - shards >= 1: one shard per (region, sub-shard) pair — four data
-//    regions plus the app edge, each optionally split into K sub-shards
-//    (data_sub_shards / edge_sub_shards). `shards` only sets the
-//    worker-thread count, so digests are byte-identical for any shards >= 1
-//    (enforced by tests/test_sharded.cpp). Splitting the app edge spreads
-//    the service (node 0), broker (node 1) and app client (node 2) across
-//    edge sub-shards by the same consistent NodeId assignment, so the
-//    hottest shard no longer serializes the fleet.
+// Testbed: a complete FOCUS deployment on the sharded substrate
+// (harness/sim_world.hpp) — the service (with its data store), N node agents
+// spread over the paper's four regions, and an application client at the app
+// edge. Shared by integration tests, benches and examples.
 //
 // The store cluster runs inside the service kernel and the service calls it
-// directly; every shard advances in one global conservative window, and
-// audits and telemetry sampling run at the window barriers. DESIGN.md §10
-// gives the measured reasons.
+// directly. Audits and telemetry sampling run at the substrate's window
+// barriers. DESIGN.md §10 gives the measured reasons.
 
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "agent/node_manager.hpp"
 #include "common/slab.hpp"
 #include "focus/audit.hpp"
 #include "focus/client.hpp"
 #include "focus/service.hpp"
-#include "net/shard_stage.hpp"
-#include "net/sim_transport.hpp"
+#include "harness/sim_world.hpp"
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
-#include "sim/sharded.hpp"
 #include "store/kvstore.hpp"
 
 namespace focus::harness {
-
-/// Node-id layout of a testbed world.
-inline constexpr NodeId kServerNode{0};
-inline constexpr NodeId kBrokerNode{1};
-inline constexpr NodeId kAppNode{2};
-inline constexpr std::uint32_t kManagerBase = 10;  ///< hierarchy managers
-inline constexpr std::uint32_t kAgentBase = 100;   ///< end nodes
-
-/// Region of the i-th end node: round-robin across the four data regions
-/// (mirrors the paper's even split across EC2 regions).
-Region region_of_index(std::size_t i);
 
 /// Testbed parameters.
 struct TestbedConfig {
@@ -112,31 +80,14 @@ struct TestbedConfig {
 };
 
 /// A running FOCUS world.
-class Testbed {
+class Testbed : public SimWorld {
  public:
   explicit Testbed(TestbedConfig config);
   ~Testbed();
 
-  Testbed(const Testbed&) = delete;
-  Testbed& operator=(const Testbed&) = delete;
-
   /// Start every node agent (they register and join groups). Does not run
   /// the simulator; call run_for / settle afterwards.
   void start();
-
-  /// Advance simulated time on every shard.
-  void run_for(Duration d);
-
-  /// Committed simulated time: the driver's barrier time.
-  SimTime now() const noexcept { return sharded_->now(); }
-
-  /// Order-sensitive event digest of the whole world
-  /// (sim::ShardedSimulator::digest: the sole kernel's digest in the
-  /// one-shard layout).
-  std::uint64_t digest() const noexcept { return sharded_->digest(); }
-
-  /// Total events executed across every kernel.
-  std::uint64_t executed() const noexcept { return sharded_->executed(); }
 
   /// Run until every agent is registered and group reports have flowed at
   /// least once (bounded by `max`). Returns true when settled.
@@ -147,55 +98,13 @@ class Testbed {
   Result<core::QueryResult> query_and_wait(core::Query query,
                                            Duration max_wait = 10 * kSecond);
 
-  /// The service kernel: the shard hosting the service node and its store
-  /// (other app-edge nodes may live on sibling edge sub-shards — see
-  /// simulator_for). In the one-shard layout it is the whole world's kernel,
-  /// which kernel-level load drivers (run_query_load, replay_trace) may run
-  /// directly; the driver then refuses to resume (run_for aborts).
-  sim::Simulator& simulator() noexcept { return simulator_for(kServerNode); }
-
-  /// The kernel that owns `node`: its shard's kernel. Timers whose callbacks
-  /// touch a component's state must be scheduled on that component's own
-  /// kernel (e.g. a query driver ticks on simulator_for(kAppNode), the
-  /// client's shard).
-  sim::Simulator& simulator_for(NodeId node) noexcept {
-    return *sims_[topology_.shard_of(node)];
-  }
-  const sim::Simulator& simulator_for(NodeId node) const noexcept {
-    return *sims_[topology_.shard_of(node)];
-  }
-
-  /// The driver that advances every shard (never null).
-  sim::ShardedSimulator* sharded() noexcept { return sharded_.get(); }
-
-  /// The service-shard transport. Server traffic counters live here.
-  net::SimTransport& transport() noexcept { return transport_for(kServerNode); }
-
-  /// The transport that owns `node`'s endpoints: its shard's transport.
-  net::SimTransport& transport_for(NodeId node) noexcept {
-    return *transports_[topology_.shard_of(node)];
-  }
-
-  /// Mark a node down/up on its owning transport.
-  void set_node_down(NodeId node, bool down) {
-    transport_for(node).set_node_down(node, down);
-  }
-
-  net::Topology& topology() noexcept { return topology_; }
   /// The replica cluster the service runs against, in the service kernel.
   store::Cluster& store() noexcept { return *store_; }
   core::Service& service() noexcept { return *service_; }
   core::Client& client() noexcept { return *client_; }
   agent::NodeManager& agent(std::size_t i) { return agents_[i]; }
   std::size_t num_agents() const noexcept { return agents_.size(); }
-  Slab<agent::NodeManager>& agents() noexcept { return agents_; }
   const TestbedConfig& config() const noexcept { return config_; }
-
-  /// Traffic counters of the FOCUS server node.
-  net::EndpointStats server_stats() const {
-    return transports_[topology_.shard_of(kServerNode)]->stats().of(
-        kServerNode);
-  }
 
   /// Run the structural audit over the service, kernel, and every live
   /// gossip agent right now. Call only between run_for calls (the barrier
@@ -252,15 +161,8 @@ class Testbed {
  private:
   /// Close the recorder interval ending at `t`: sample telemetry_snapshot().
   void sample_telemetry(SimTime t);
-  /// Per-kind traffic totals summed over this world's transports.
-  std::map<std::string, net::MsgKindStats> traffic_totals() const;
 
   TestbedConfig config_;
-  net::Topology topology_;
-  /// One kernel and one transport per shard, in shard order.
-  std::vector<std::unique_ptr<sim::Simulator>> sims_;
-  std::unique_ptr<net::ShardStager> stager_;
-  std::vector<std::unique_ptr<net::SimTransport>> transports_;
   /// Fleet-shared immutable agent state (memory compaction): one config and
   /// one resource walk plan for every node.
   std::shared_ptr<const agent::AgentConfig> agent_config_;
@@ -271,9 +173,6 @@ class Testbed {
   /// Agents live in a chunked arena: stable addresses (closures capture
   /// `this`), one allocation per 64 agents, contiguous walks.
   Slab<agent::NodeManager> agents_;
-  /// Declared after everything it drives so its destructor joins the worker
-  /// threads before any shard state is torn down.
-  std::unique_ptr<sim::ShardedSimulator> sharded_;
   std::uint64_t audits_run_ = 0;
   SimTime next_audit_ = 0;  ///< next barrier-audit due time (0 = off)
   std::string trace_path_;  ///< from FOCUS_TRACE; written at destruction

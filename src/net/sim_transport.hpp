@@ -91,8 +91,8 @@ class SimTransport final : public Transport {
   double loss_rate_ = 0;
   NetStats stats_;
   /// Sharded mode (enable_sharding): the shard this transport serves and
-  /// the staging buffers for cross-shard sends. Null stager = an unsharded
-  /// world, e.g. harness::World and unit tests.
+  /// the staging buffers for cross-shard sends. Null stager = a hand-built
+  /// single kernel (unit tests, micro benches); every harness world shards.
   std::size_t shard_index_ = 0;
   ShardStager* stager_ = nullptr;
 };

@@ -44,10 +44,8 @@ ShardedSimulator::ShardedSimulator(std::vector<Simulator*> shards,
     FOCUS_CHECK_EQ(shard->now(), shards_.front()->now())
         << "shard clocks must agree at driver construction";
   }
-  now_ = shards_.front()->now();
+  start_ = now_ = shards_.front()->now();
   const std::size_t n = shards_.size();
-  windows_run_.assign(n, 0);
-  window_width_sum_.assign(n, 0);
   profiles_.assign(n, ShardProfile{});
   round_busy_ns_.assign(n, 0);
   // The coordinator thread's log lines carry the committed fleet time; each
@@ -172,10 +170,6 @@ void ShardedSimulator::run_until(SimTime t) {
   while (now_ < t) {
     const SimTime target = std::min<SimTime>(now_ + window_, t);
     execute_round(target);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      ++windows_run_[i];
-      window_width_sum_[i] += target - now_;
-    }
     ++rounds_;
     obs::metrics().add(kRoundsMetric, 1);
     obs::metrics().add(kShardWindowsMetric,

@@ -80,17 +80,14 @@ class ShardedSimulator {
   /// wake/park cycle plus one hook (merge) invocation.
   std::uint64_t rounds() const noexcept { return rounds_; }
 
-  /// Windows shard `i` executed. Every shard runs every window, so this
-  /// equals rounds(); events/shard_windows is the events-per-window figure.
-  std::uint64_t shard_windows(std::size_t i) const {
-    return windows_run_[i];
-  }
+  /// Windows shard `i` executed. Every shard runs every window, so this is
+  /// rounds(); events/shard_windows is the events-per-window figure.
+  std::uint64_t shard_windows(std::size_t /*i*/) const noexcept { return rounds_; }
 
-  /// Total simulated width (µs) of the windows shard `i` executed; divide by
-  /// shard_windows(i) for the mean window width.
-  Duration shard_window_width(std::size_t i) const {
-    return window_width_sum_[i];
-  }
+  /// Total simulated width (µs) of the windows shard `i` executed — the
+  /// simulated time since the driver was built, since every shard runs every
+  /// window; divide by shard_windows(i) for the mean window width.
+  Duration shard_window_width(std::size_t /*i*/) const noexcept { return now_ - start_; }
 
   /// Total events executed across all shards. Barrier-time only.
   std::uint64_t executed() const noexcept;
@@ -149,11 +146,10 @@ class ShardedSimulator {
   Duration window_;
   unsigned threads_;
   BarrierHook hook_;
+  SimTime start_ = 0;  ///< shard clocks at construction
   SimTime now_ = 0;
 
   std::uint64_t rounds_ = 0;
-  std::vector<std::uint64_t> windows_run_;
-  std::vector<Duration> window_width_sum_;
 
   // Wall-clock profiling (observation-only; see set_wall_profiling). Each
   // round_busy_ns_ entry is written only by the worker that owns the shard

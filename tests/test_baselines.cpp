@@ -34,7 +34,7 @@ core::Query big_ram() {
   return q;
 }
 
-/// Run a query to completion on the world's simulator.
+/// Run a query to completion on the world's driver.
 Result<core::QueryResult> find_sync(harness::World& world, NodeFinder& finder,
                                     const core::Query& q,
                                     Duration max_wait = 10 * kSecond) {
@@ -44,9 +44,9 @@ Result<core::QueryResult> find_sync(harness::World& world, NodeFinder& finder,
     out = std::move(r);
     done = true;
   });
-  const SimTime deadline = world.simulator().now() + max_wait;
-  while (!done && world.simulator().now() < deadline) {
-    world.simulator().run_for(10 * kMillisecond);
+  const SimTime deadline = world.now() + max_wait;
+  while (!done && world.now() < deadline) {
+    world.run_for(10 * kMillisecond);
   }
   return out;
 }
@@ -66,7 +66,7 @@ TEST(PushFinder, ServesFromPushedTable) {
   harness::World world(world_config(20));
   PushFinder finder(world.simulator(), world.transport(), world.server_node(),
                     world.sim_nodes(), BaselineConfig{}, Rng(1));
-  world.simulator().run_for(3 * kSecond);  // let pushes arrive
+  world.run_for(3 * kSecond);  // let pushes arrive
 
   auto result = find_sync(world, finder, big_ram());
   ASSERT_TRUE(result.ok());
@@ -78,7 +78,7 @@ TEST(PushFinder, ResultsAreStaleBetweenPushes) {
   harness::World world(world_config(4));
   PushFinder finder(world.simulator(), world.transport(), world.server_node(),
                     world.sim_nodes(), BaselineConfig{}, Rng(1));
-  world.simulator().run_for(3 * kSecond);
+  world.run_for(3 * kSecond);
 
   // Flip a node's value; until its next push the server's answer is wrong —
   // the fundamental push-model staleness (§III-A).
@@ -89,7 +89,7 @@ TEST(PushFinder, ResultsAreStaleBetweenPushes) {
   ASSERT_TRUE(stale.ok());
   EXPECT_TRUE(stale.value().entries.empty());
 
-  world.simulator().run_for(2 * kSecond);  // next push lands
+  world.run_for(2 * kSecond);  // next push lands
   auto fresh = find_sync(world, finder, q);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh.value().entries.size(), 1u);
@@ -101,9 +101,9 @@ TEST(PushFinder, ServerBandwidthScalesWithNodeCount) {
     harness::World world(world_config(n));
     PushFinder finder(world.simulator(), world.transport(), world.server_node(),
                       world.sim_nodes(), BaselineConfig{}, Rng(1));
-    world.simulator().run_for(2 * kSecond);
+    world.run_for(2 * kSecond);
     const auto before = world.transport().stats().of(world.server_node());
-    world.simulator().run_for(10 * kSecond);
+    world.run_for(10 * kSecond);
     return static_cast<double>(
         (world.transport().stats().of(world.server_node()) - before).bytes_total());
   };
@@ -166,9 +166,9 @@ TEST(AggregatingFinder, ReducesEventRateNotBandwidth) {
   AggregatingFinder finder(world.simulator(), world.transport(),
                            world.server_node(), world.sim_nodes(), managers,
                            BaselineConfig{}, Rng(2));
-  world.simulator().run_for(2 * kSecond);
+  world.run_for(2 * kSecond);
   const auto before = world.transport().stats().of(world.server_node());
-  world.simulator().run_for(10 * kSecond);
+  world.run_for(10 * kSecond);
   const auto delta = world.transport().stats().of(world.server_node()) - before;
 
   // ~10 flushes x 4 managers = ~40 messages instead of ~320 pushes...
@@ -189,7 +189,7 @@ TEST(SubsettingFinder, QueriesAllManagersAndAggregates) {
   SubsettingFinder finder(world.simulator(), world.transport(),
                           world.server_node(), world.sim_nodes(), managers,
                           BaselineConfig{}, Rng(2));
-  world.simulator().run_for(3 * kSecond);  // managers learn their subsets
+  world.run_for(3 * kSecond);  // managers learn their subsets
 
   auto result = find_sync(world, finder, big_ram());
   ASSERT_TRUE(result.ok());
@@ -202,7 +202,7 @@ TEST(SubsettingFinder, SurvivesManagerFailureWithPartialResults) {
   SubsettingFinder finder(world.simulator(), world.transport(),
                           world.server_node(), world.sim_nodes(), managers,
                           BaselineConfig{}, Rng(2));
-  world.simulator().run_for(3 * kSecond);
+  world.run_for(3 * kSecond);
   world.transport().set_node_down(managers[0].id, true);
 
   auto result = find_sync(world, finder, everyone());
@@ -220,7 +220,7 @@ TEST(MqPubFinder, StateFlowsThroughBroker) {
   MqPubFinder finder(world.simulator(), world.transport(), world.server_node(),
                      world.broker_node(), world.sim_nodes(), BaselineConfig{},
                      Rng(3));
-  world.simulator().run_for(3 * kSecond);
+  world.run_for(3 * kSecond);
 
   auto result = find_sync(world, finder, big_ram());
   ASSERT_TRUE(result.ok());
@@ -234,7 +234,7 @@ TEST(MqSubFinder, QueryBroadcastCollectsAllResponses) {
   MqSubFinder finder(world.simulator(), world.transport(), world.server_node(),
                      world.broker_node(), world.sim_nodes(), BaselineConfig{},
                      Rng(3));
-  world.simulator().run_for(1 * kSecond);  // subscriptions land
+  world.run_for(1 * kSecond);  // subscriptions land
 
   auto result = find_sync(world, finder, big_ram());
   ASSERT_TRUE(result.ok());
@@ -248,7 +248,7 @@ TEST(MqSubFinder, FreshDespiteValueChanges) {
   MqSubFinder finder(world.simulator(), world.transport(), world.server_node(),
                      world.broker_node(), world.sim_nodes(), BaselineConfig{},
                      Rng(3));
-  world.simulator().run_for(1 * kSecond);
+  world.run_for(1 * kSecond);
   world.model(3).set_value("ram_mb", 16384);
 
   core::Query q;
@@ -269,9 +269,9 @@ TEST(Baselines, ServerBandwidthOrderingMatchesFig7a) {
   auto measure = [&](auto make_finder) {
     harness::World world(world_config(kNodes));
     auto finder = make_finder(world);
-    return harness::run_query_load(world.simulator(), world.transport(), *finder,
-                                   gen, /*qps=*/1.0, /*warmup=*/3 * kSecond,
-                                   /*window=*/20 * kSecond, /*seed=*/77)
+    return harness::run_query_load(world, *finder, gen, /*qps=*/1.0,
+                                   /*warmup=*/3 * kSecond, /*window=*/20 * kSecond,
+                                   /*seed=*/77)
         .server_kbps();
   };
 

@@ -30,7 +30,7 @@ TEST(World, BuildsModelsWithLiveDynamics) {
   EXPECT_EQ(world.num_nodes(), 10u);
 
   const auto before = world.model(0).state().dynamic_values;
-  world.simulator().run_for(10 * kSecond);
+  world.run_for(10 * kSecond);
   EXPECT_NE(world.model(0).state().dynamic_values, before);
   EXPECT_GT(world.model(0).state().timestamp, 0);
 }
@@ -88,10 +88,10 @@ TEST(Testbed, QueryAndWaitHonorsDeadline) {
   bed.transport().set_node_down(kServerNode, true);
   core::Query q;
   q.where_at_least("ram_mb", 0);
-  const SimTime before = bed.simulator().now();
+  const SimTime before = bed.now();
   auto result = bed.query_and_wait(q, 2 * kSecond);
   EXPECT_FALSE(result.ok());
-  EXPECT_LE(bed.simulator().now() - before, 3 * kSecond);
+  EXPECT_LE(bed.now() - before, 3 * kSecond);
 }
 
 TEST(PlacementWorkload, GeneratesBoundedSensibleQueries) {
@@ -144,8 +144,8 @@ TEST(QueryLoad, DrivesFinderAtRequestedRate) {
                                world.server_node(), world.sim_nodes(),
                                baselines::BaselineConfig{}, Rng(1));
   const auto gen = [](Rng& rng) { return make_placement_query(rng, 10); };
-  const auto load = run_query_load(world.simulator(), world.transport(), finder,
-                                   gen, /*qps=*/5.0, /*warmup=*/2 * kSecond,
+  const auto load = run_query_load(world, finder, gen, /*qps=*/5.0,
+                                   /*warmup=*/2 * kSecond,
                                    /*window=*/10 * kSecond, /*seed=*/3);
   EXPECT_EQ(load.issued, 50u);
   EXPECT_EQ(load.completed, 50u);
@@ -162,12 +162,43 @@ TEST(QueryLoad, BandwidthWindowExcludesWarmup) {
                                world.server_node(), world.sim_nodes(),
                                baselines::BaselineConfig{}, Rng(1));
   const auto gen = [](Rng& rng) { return make_placement_query(rng, 10); };
-  const auto short_run = run_query_load(world.simulator(), world.transport(),
-                                        finder, gen, 1.0, 30 * kSecond,
-                                        10 * kSecond, 3);
+  const auto short_run =
+      run_query_load(world, finder, gen, 1.0, 30 * kSecond, 10 * kSecond, 3);
   // 16 nodes pushing ~1.1 KB/s lands ~17-20 KB/s regardless of the long warmup.
   EXPECT_LT(short_run.server_kbps(), 40.0);
   EXPECT_GT(short_run.server_kbps(), 8.0);
+}
+
+TEST(QueryLoad, AdvancesTheTestbedClockWithAuditsAndSampling) {
+  // A load window runs through the testbed's driver, not behind its back:
+  // the testbed clock covers warmup + window + drain, barrier audits and
+  // telemetry samples keep their cadence, and the driver resumes afterwards.
+  TestbedConfig config;
+  config.num_nodes = 16;
+  config.seed = 19;
+  config.audit_interval = 500 * kMillisecond;
+  config.record_interval = 100 * kMillisecond;
+  Testbed bed(config);
+  bed.start();
+  ASSERT_TRUE(bed.settle());
+  ASSERT_NE(bed.recorder(), nullptr);
+  const SimTime t0 = bed.now();
+  const std::uint64_t audits0 = bed.audits_run();
+  const std::size_t samples0 = bed.recorder()->num_intervals();
+
+  FocusFinder finder(bed);
+  EXPECT_EQ(finder.home_node(), kAppNode);
+  const auto gen = [](Rng& rng) { return make_placement_query(rng, 10); };
+  const auto load = run_query_load(bed, finder, gen, /*qps=*/5.0, /*warmup=*/1 * kSecond,
+                                   /*window=*/10 * kSecond, /*seed=*/5);
+  EXPECT_EQ(load.issued, 50u);
+  EXPECT_EQ(load.completed, load.issued);
+  EXPECT_EQ(bed.now() - t0, 16 * kSecond);  // warmup + window + 5 s drain
+  EXPECT_GE(bed.audits_run() - audits0, 30u);
+  EXPECT_GE(bed.recorder()->num_intervals() - samples0, 150u);
+
+  bed.run_for(1 * kSecond);
+  EXPECT_EQ(bed.now() - t0, 17 * kSecond);
 }
 
 TEST(FocusFinderAdapter, RoutesThroughTestbedClient) {

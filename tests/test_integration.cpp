@@ -6,7 +6,6 @@
 
 #include "harness/scenario.hpp"
 #include "harness/testbed.hpp"
-#include "trace/replayer.hpp"
 
 namespace focus {
 namespace {
@@ -215,10 +214,10 @@ TEST(Integration, TraceReplayAgainstFocusCompletes) {
   const auto trace = generate_chameleon_trace(tc);
 
   harness::FocusFinder finder(bed);
-  trace::ReplayConfig replay;
+  harness::ReplayConfig replay;
   replay.acceleration = 15000.0;  // the paper's acceleration factor
   replay.drain = 10 * kSecond;
-  const auto result = trace::replay_trace(bed.simulator(), trace, finder, replay);
+  const auto result = harness::replay_trace(bed, trace, finder, replay);
   EXPECT_EQ(result.issued, 300u);
   EXPECT_EQ(result.completed, 300u);
   EXPECT_EQ(result.failed, 0u);
@@ -240,7 +239,7 @@ TEST(Integration, DeterministicAcrossRuns) {
     std::uint64_t fp = result.value().entries.size() * 1000003;
     for (const auto& entry : result.value().entries) fp ^= entry.node.value * 2654435761u;
     fp ^= static_cast<std::uint64_t>(result.value().latency());
-    fp ^= bed.simulator().executed() << 17;
+    fp ^= bed.executed() << 17;
     return fp;
   };
   EXPECT_EQ(fingerprint(), fingerprint());

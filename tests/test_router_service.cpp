@@ -366,14 +366,14 @@ TEST(Service, CpuAndRamModelRespondToLoad) {
   ASSERT_TRUE(bed.settle());
 
   const double busy0 = bed.service().busy_cpu_us();
-  const SimTime t0 = bed.simulator().now();
+  const SimTime t0 = bed.now();
   for (int i = 0; i < 20; ++i) {
     Query q;
     q.where_at_least("ram_mb", 2048);
     ASSERT_TRUE(bed.query_and_wait(q).ok());
   }
   const double util =
-      bed.service().utilization(busy0, bed.simulator().now() - t0);
+      bed.service().utilization(busy0, bed.now() - t0);
   EXPECT_GT(util, bed.service().cost_model().baseline_utilization);
   EXPECT_LT(util, 1.0);
   EXPECT_GT(bed.service().ram_gb(), bed.service().cost_model().base_ram_gb);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
-#include "harness/testbed.hpp"
+#include "harness/scenario.hpp"
 #include "net/shard_stage.hpp"
 #include "net/sim_transport.hpp"
 #include "sim/sharded.hpp"
@@ -422,6 +422,57 @@ TEST(ShardedTelemetry, RecordingOnMatchesRecordingOffGoldenDigest) {
   EXPECT_EQ(four.digest, one.digest);
   EXPECT_EQ(one.results, 10u);
   EXPECT_EQ(one.executed, four.executed);
+}
+
+// A query-load window rides the driver on every layout. With the app edge
+// split, the app client lives on an edge sub-shard apart from the service,
+// so the load must tick on the client's kernel and every kernel must
+// advance through warmup, window and drain — not only the service's.
+struct ShardedLoadRun {
+  harness::LoadResult load;
+  std::uint64_t digest = 0;
+};
+
+ShardedLoadRun run_sharded_load(unsigned shards) {
+  harness::TestbedConfig config;
+  config.num_nodes = 25;
+  config.seed = 42;
+  config.shards = shards;
+  config.data_sub_shards = 2;
+  config.edge_sub_shards = 2;
+  harness::Testbed bed(config);
+  bed.start();
+  EXPECT_TRUE(bed.settle());
+  harness::FocusFinder finder(bed);
+  const SimTime t0 = bed.now();
+  ShardedLoadRun out;
+  const auto gen = [](Rng& rng) { return harness::make_placement_query(rng, 10); };
+  out.load = harness::run_query_load(bed, finder, gen, /*qps=*/10.0,
+                                     /*warmup=*/1 * kSecond, /*window=*/5 * kSecond,
+                                     /*seed=*/3);
+  EXPECT_EQ(bed.now() - t0, 11 * kSecond);
+  for (std::size_t i = 0; i < bed.sharded()->num_shards(); ++i) {
+    EXPECT_EQ(bed.sharded()->shard(i).now(), bed.now()) << "shard " << i;
+  }
+  out.digest = bed.digest();
+  return out;
+}
+
+TEST(ShardedDeterminism, QueryLoadIdenticalAcrossWorkerCounts) {
+  const ShardedLoadRun one = run_sharded_load(1);
+  const ShardedLoadRun four = run_sharded_load(4);
+  EXPECT_EQ(one.load.issued, 50u);
+  EXPECT_EQ(one.load.completed, one.load.issued);
+  EXPECT_EQ(four.load.completed, four.load.issued);
+  EXPECT_EQ(one.load.issued, four.load.issued);
+  EXPECT_EQ(one.load.failed, four.load.failed);
+  EXPECT_EQ(one.load.empty_results, four.load.empty_results);
+  EXPECT_EQ(one.load.latency_ms.count(), four.load.latency_ms.count());
+  EXPECT_EQ(one.load.latency_ms.sum(), four.load.latency_ms.sum());
+  EXPECT_EQ(one.load.latency_ms.summary(), four.load.latency_ms.summary());
+  EXPECT_EQ(one.load.server_delta.bytes_total(),
+            four.load.server_delta.bytes_total());
+  EXPECT_EQ(one.digest, four.digest);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-// Tests for the synthetic Chameleon trace generator and the replayer.
+// Tests for the synthetic Chameleon trace generator and trace replay
+// (harness::replay_trace).
 
 #include <gtest/gtest.h>
 
 #include "baselines/pull_finder.hpp"
 #include "harness/scenario.hpp"
-#include "trace/replayer.hpp"
 
 namespace focus::trace {
 namespace {
@@ -98,14 +98,14 @@ TEST(Replayer, AccelerationCompressesTime) {
   auto config = small_trace(200);
   const auto trace = generate_chameleon_trace(config);
 
-  ReplayConfig replay;
+  harness::ReplayConfig replay;
   replay.acceleration = 100000.0;
-  const auto result = replay_trace(world.simulator(), trace, finder, replay);
+  const auto result = harness::replay_trace(world, trace, finder, replay);
   EXPECT_EQ(result.issued, 200u);
   EXPECT_EQ(result.completed, 200u);
   EXPECT_EQ(result.failed, 0u);
   // 10 days / 100000 ~= 8.6 s of simulated replay (plus drain).
-  EXPECT_LT(result.replay_span, 30 * kSecond);
+  EXPECT_LT(result.window, 30 * kSecond);
   EXPECT_GT(result.latency_ms.count(), 0u);
 }
 
@@ -115,10 +115,10 @@ TEST(Replayer, MaxEventsLimitsReplay) {
                                world.server_node(), world.sim_nodes(),
                                baselines::BaselineConfig{});
   const auto trace = generate_chameleon_trace(small_trace(500));
-  ReplayConfig replay;
+  harness::ReplayConfig replay;
   replay.acceleration = 100000.0;
   replay.max_events = 50;
-  const auto result = replay_trace(world.simulator(), trace, finder, replay);
+  const auto result = harness::replay_trace(world, trace, finder, replay);
   EXPECT_EQ(result.issued, 50u);
 }
 
@@ -136,9 +136,9 @@ TEST(Replayer, RecordsEmptyResults) {
                                world.server_node(), world.sim_nodes(),
                                baselines::BaselineConfig{});
   const auto trace = generate_chameleon_trace(small_trace(50));
-  ReplayConfig replay;
+  harness::ReplayConfig replay;
   replay.acceleration = 100000.0;
-  const auto result = replay_trace(world.simulator(), trace, finder, replay);
+  const auto result = harness::replay_trace(world, trace, finder, replay);
   EXPECT_EQ(result.empty_results, 50u);
 }
 
